@@ -27,6 +27,10 @@ fails (exit 1) on structural regressions that survive machine-speed noise:
   an answer), the cache-on side must be at least as fast as cache-off,
   and the publish-heavy invalidation rep must stay selective (publishes
   touching only one base relation retire only the entries it supports);
+* ``bench_storage``: every ``ours-core`` row (``Engine::EvalFrom`` on
+  prebuilt views) must report the same ``fetches`` as its ``ours`` row
+  (the same query through ``QueryEngine::Query``): the facade may cost
+  wall time, never EDB retrievals;
 * ``bench_live``: the publish-scaling sanity flag, when present in both
   files, must not regress from sublinear to superlinear;
 * ``bench_live``: the durable-publish block must report ``ok`` (the
@@ -270,7 +274,21 @@ def check_service(baseline, smoke, errors):
 
 def check_storage(baseline, smoke, errors):
     del baseline  # smoke sizes differ; only invariants are checked
-    check_ok_flags("storage", smoke.get("benchmarks", []), errors)
+    entries = smoke.get("benchmarks", [])
+    check_ok_flags("storage", entries, errors)
+    by_name = {b.get("name"): b for b in entries}
+    for core in entries:
+        name = core.get("name", "")
+        if "/ours-core" not in name:
+            continue
+        facade = by_name.get(name.replace("/ours-core", "/ours", 1))
+        if facade is None:
+            errors.append(f"storage: '{name}' has no matching 'ours' row")
+        elif core.get("fetches") != facade.get("fetches"):
+            errors.append(
+                f"storage: field 'fetches' of '{name}' differs from "
+                f"'{facade['name']}': core={core.get('fetches')}, "
+                f"facade={facade.get('fetches')}")
 
 
 # Durable publish (WAL attached, fsync off) may cost at most this much

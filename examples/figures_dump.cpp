@@ -78,7 +78,7 @@ int main() {
       return 1;
     }
     std::printf(
-        "iterations=%llu, machine copies spliced=%llu, final EM states=%llu\n",
+        "iterations=%llu, machine copies=%llu, final EM states=%llu\n",
         static_cast<unsigned long long>(r.value().stats.iterations),
         static_cast<unsigned long long>(r.value().stats.expansions),
         static_cast<unsigned long long>(r.value().stats.em_states));

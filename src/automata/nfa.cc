@@ -4,31 +4,6 @@
 
 namespace binchain {
 
-bool Nfa::RemoveDerivedTransition(uint32_t from, SymbolId pred, uint32_t to) {
-  auto& out = states_[from];
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (out[i].label.kind == NfaLabel::Kind::kDerived &&
-        out[i].label.pred == pred && out[i].target == to) {
-      out.erase(out.begin() + static_cast<long>(i));
-      return true;
-    }
-  }
-  return false;
-}
-
-uint32_t Nfa::SpliceCopy(const Nfa& src) {
-  uint32_t offset = static_cast<uint32_t>(states_.size());
-  states_.resize(states_.size() + src.states_.size());
-  for (uint32_t s = 0; s < src.states_.size(); ++s) {
-    std::vector<NfaTransition>& out = states_[offset + s];
-    out.reserve(src.states_[s].size());
-    for (const NfaTransition& t : src.states_[s]) {
-      out.push_back(NfaTransition{t.label, t.target + offset});
-    }
-  }
-  return offset;
-}
-
 std::string Nfa::ToString(const SymbolTable& symbols) const {
   std::string out;
   out += "initial: q" + std::to_string(initial_) + ", final: q" +

@@ -5,7 +5,10 @@
 //   - id        : the identity relation (empty-string transition),
 //   - a relation: a base predicate / registered view, possibly inverted,
 //   - a derived predicate: expanded at evaluation time into a fresh copy of
-//     M(e_r) (the EM(p, i) hierarchy, Figure 2).
+//     M(e_r) (the EM(p, i) hierarchy, Figure 2). The engine never copies a
+//     machine's transitions: it addresses each copy as (copy, local state)
+//     over the one compiled Nfa, relying on every Thompson state having at
+//     most one non-id arc.
 #ifndef BINCHAIN_AUTOMATA_NFA_H_
 #define BINCHAIN_AUTOMATA_NFA_H_
 
@@ -48,10 +51,6 @@ class Nfa {
     states_[from].push_back(NfaTransition{label, to});
   }
 
-  /// Removes one transition `from --pred(derived)--> to`; returns whether a
-  /// matching transition existed.
-  bool RemoveDerivedTransition(uint32_t from, SymbolId pred, uint32_t to);
-
   size_t NumStates() const { return states_.size(); }
   const std::vector<NfaTransition>& Out(uint32_t s) const { return states_[s]; }
 
@@ -59,10 +58,6 @@ class Nfa {
   uint32_t final() const { return final_; }
   void set_initial(uint32_t s) { initial_ = s; }
   void set_final(uint32_t s) { final_ = s; }
-
-  /// Appends a copy of `src` (states renumbered); returns the offset added
-  /// to src's state numbers.
-  uint32_t SpliceCopy(const Nfa& src);
 
   /// Human-readable transition listing (for the figure-dump example and
   /// golden tests).

@@ -78,6 +78,15 @@ Result<size_t> Engine::CyclicIterationBound(SymbolId pred, TermId source,
   return b1 * b2;
 }
 
+uint32_t Engine::AddCopy(const Nfa* m, uint32_t ret) {
+  uint32_t id = static_cast<uint32_t>(copies_.size());
+  uint32_t base = static_cast<uint32_t>(copy_of_.size());
+  copies_.push_back(Copy{m, base, ret});
+  copy_of_.resize(base + m->NumStates(), id);
+  child_.resize(base + m->NumStates(), kNone);
+  return id;
+}
+
 Result<std::vector<TermId>> Engine::EvalFrom(SymbolId pred, TermId source,
                                              const EvalOptions& options,
                                              EvalStats* stats) {
@@ -92,15 +101,10 @@ Result<std::vector<TermId>> Engine::EvalFrom(SymbolId pred, TermId source,
   // query stream on one engine stops paying per-query growth.
   g_.clear();
   answer_set_.clear();
-  c_set_.clear();
-  // The continuation map is cleared once per fixpoint iteration, and
-  // unordered_map::clear costs O(bucket count) — drop a table left huge by
-  // an earlier query so later small queries don't inherit that bill.
-  if (c_by_state_.bucket_count() > 1024) {
-    c_by_state_ = decltype(c_by_state_)();
-  } else {
-    c_by_state_.clear();
-  }
+  copies_.clear();
+  copy_of_.clear();
+  child_.clear();
+  continuations_.clear();
   stack_.clear();
   seeds_.clear();
 
@@ -125,12 +129,10 @@ Result<std::vector<TermId>> Engine::EvalFrom(SymbolId pred, TermId source,
     }
   }
 
-  // EM := a copy of M(e_p). The final state of this copy stays the final
-  // state of every EM(p, i).
-  Nfa em;
-  uint32_t off = em.SpliceCopy(*machine.value());
-  em.set_initial(machine.value()->initial() + off);
-  em.set_final(machine.value()->final() + off);
+  // EM(p, 1) is the root copy of M(e_p) at base 0. Its final state stays
+  // the final state of every EM(p, i).
+  AddCopy(machine.value(), kNone);
+  const uint32_t final_state = machine.value()->final();
 
   std::vector<TermId> answers;
   // Streaming: answers[flushed..] are derived but not yet delivered to the
@@ -163,7 +165,7 @@ Result<std::vector<TermId>> Engine::EvalFrom(SymbolId pred, TermId source,
   auto try_insert = [&](uint32_t q, TermId u) {
     if (!g_.insert(NodeKey(q, u))) return;
     ++st.nodes;
-    if (q == em.final() && !answer_set_.TestAndSet(u)) answers.push_back(u);
+    if (q == final_state && !answer_set_.TestAndSet(u)) answers.push_back(u);
     stack_.emplace_back(q, u);
   };
 
@@ -193,11 +195,15 @@ Result<std::vector<TermId>> Engine::EvalFrom(SymbolId pred, TermId source,
       }
       auto [q, u] = stack_.back();
       stack_.pop_back();
-      for (const NfaTransition& t : em.Out(q)) {
+      // copies_ only grows between iterations, so `c` is stable here.
+      const Copy& c = copies_[copy_of_[q]];
+      const uint32_t local = q - c.base;
+      for (const NfaTransition& t : c.m->Out(local)) {
+        const uint32_t target = c.base + t.target;
         switch (t.label.kind) {
           case NfaLabel::Kind::kId:
             ++st.arcs;
-            try_insert(t.target, u);
+            try_insert(target, u);
             break;
           case NfaLabel::Kind::kRel: {
             BinaryRelationView* view = find_view(t.label.pred);
@@ -209,7 +215,7 @@ Result<std::vector<TermId>> Engine::EvalFrom(SymbolId pred, TermId source,
             }
             auto emit = [&](TermId v) {
               ++st.arcs;
-              try_insert(t.target, v);
+              try_insert(target, v);
             };
             if (t.label.inverted) {
               if (!view->SupportsBackward()) {
@@ -225,23 +231,38 @@ Result<std::vector<TermId>> Engine::EvalFrom(SymbolId pred, TermId source,
             break;
           }
           case NfaLabel::Kind::kDerived: {
-            if (c_set_.insert(NodeKey(q, u))) {
-              c_by_state_[q].push_back(u);
+            // Expanded in an earlier iteration: an id arc into the child
+            // copy. Otherwise (q, u) is a continuation point.
+            const uint32_t child = child_[q];
+            if (child != kNone) {
+              const Copy& k = copies_[child];
+              ++st.arcs;
+              try_insert(k.base + k.m->initial(), u);
+            } else {
+              continuations_.emplace_back(q, u);
               ++st.continuations;
             }
             break;
           }
         }
       }
+      // A child copy's final state returns to its parent's derived-arc
+      // target.
+      if (local == c.m->final() && c.ret != kNone) {
+        ++st.arcs;
+        try_insert(c.ret, u);
+      }
     }
   };
 
   // Starting point of the first traversal: (q_s, a).
-  seeds_.emplace_back(em.initial(), source);
+  seeds_.emplace_back(machine.value()->initial(), source);
 
+  // Programs have a handful of derived predicates, so a one-entry machine
+  // cache removes the map lookup from the expansion loop.
+  SymbolId cached_pred = 0;
+  const Nfa* cached_machine = nullptr;
   while (true) {
-    c_by_state_.clear();
-    c_set_.clear();
     for (auto [q, u] : seeds_) try_insert(q, u);
     traverse();
     if (!view_error.ok()) return view_error;
@@ -253,7 +274,7 @@ Result<std::vector<TermId>> Engine::EvalFrom(SymbolId pred, TermId source,
     flush_answers();
     seeds_.clear();
     if (st.cancelled) break;  // unwind with the partial answer set
-    if (c_by_state_.empty()) break;  // C = 0: done
+    if (continuations_.empty()) break;  // C = 0: done
     // One poll per fixpoint iteration besides the decimated in-traversal
     // ones, so even queries whose iterations expand fewer than a stride of
     // nodes (e.g. each source of an all-free sweep) hit a cancellation
@@ -271,37 +292,38 @@ Result<std::vector<TermId>> Engine::EvalFrom(SymbolId pred, TermId source,
       st.hit_iteration_cap = true;
       break;
     }
-    // Expansion: replace every derived transition leaving a state with
-    // continuation points by a fresh copy of the corresponding machine.
-    // Programs have a handful of derived predicates, so a one-entry machine
-    // cache removes the map lookup from the per-iteration loop.
-    SymbolId cached_pred = 0;
-    const Nfa* cached_machine = nullptr;
-    for (auto& [q, terms] : c_by_state_) {
-      // Collect the derived transitions of q first; expansion mutates em.
-      std::vector<NfaTransition> derived;
-      for (const NfaTransition& t : em.Out(q)) {
-        if (t.label.kind == NfaLabel::Kind::kDerived) derived.push_back(t);
-      }
-      for (const NfaTransition& t : derived) {
-        if (cached_machine == nullptr || t.label.pred != cached_pred) {
-          auto sub = Machine(t.label.pred);
+    // Expansion: the derived arc of every state with continuation points
+    // gets a child copy of the corresponding machine, and each point seeds
+    // the next iteration at that copy's initial state.
+    for (auto [q, u] : continuations_) {
+      uint32_t child = child_[q];
+      if (child == kNone) {
+        const Copy& c = copies_[copy_of_[q]];
+        const NfaTransition* arc = nullptr;
+        for (const NfaTransition& t : c.m->Out(q - c.base)) {
+          if (t.label.kind == NfaLabel::Kind::kId) continue;
+          BINCHAIN_CHECK(arc == nullptr);  // at most one non-id arc
+          arc = &t;
+        }
+        BINCHAIN_CHECK(arc != nullptr &&
+                       arc->label.kind == NfaLabel::Kind::kDerived);
+        const uint32_t ret = c.base + arc->target;  // before AddCopy moves c
+        if (cached_machine == nullptr || arc->label.pred != cached_pred) {
+          auto sub = Machine(arc->label.pred);
           if (!sub.ok()) return sub.status();
-          cached_pred = t.label.pred;
+          cached_pred = arc->label.pred;
           cached_machine = sub.value();
         }
-        uint32_t sub_off = em.SpliceCopy(*cached_machine);
-        uint32_t qs = cached_machine->initial() + sub_off;
-        uint32_t qf = cached_machine->final() + sub_off;
-        em.AddTransition(q, NfaLabel::Id(), qs);
-        em.AddTransition(qf, NfaLabel::Id(), t.target);
-        BINCHAIN_CHECK(em.RemoveDerivedTransition(q, t.label.pred, t.target));
+        child = AddCopy(cached_machine, ret);
+        child_[q] = child;
         ++st.expansions;
-        for (TermId u : terms) seeds_.emplace_back(qs, u);
       }
+      const Copy& k = copies_[child];
+      seeds_.emplace_back(k.base + k.m->initial(), u);
     }
+    continuations_.clear();
   }
-  st.em_states = em.NumStates();
+  st.em_states = copy_of_.size();
   // Frozen relations count retrievals per thread; unfrozen ones still count
   // into the database (QueryEngine folds those in for the combined total).
   st.fetches = Relation::ThreadFetchCount() - tls_fetches_before;

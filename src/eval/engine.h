@@ -10,6 +10,18 @@
 // for cyclic data — when the |D1|*|D2| bound of Marchetti-Spaccamela et al.
 // is exhausted.
 //
+// EM(p, i) is never materialized. Each machine copy of the Figure 2
+// hierarchy is a copy record {machine, base, ret}: the compiled M(e_r) it
+// stands for, the global id of its local state 0, and the state its final
+// state returns to (the target of the parent's expanded derived arc). A
+// global state is base + local state, so the traversal reads its arcs
+// straight from the one shared compiled machine and adds `base` to each
+// target. An expanded derived arc becomes an id arc to the child copy's
+// initial state (via a per-state child index), and a child copy's final
+// state gains one id arc to `ret`. Expansion therefore appends a record
+// instead of copying transitions. This relies on Thompson machines having
+// at most one non-id arc per state, which EvalFrom checks.
+//
 // Only the *nodes* of G are stored, never its arcs (Section 3: "the arcs of
 // the graph need not be stored at all").
 #ifndef BINCHAIN_EVAL_ENGINE_H_
@@ -38,9 +50,9 @@ struct EvalStats {
   uint64_t nodes = 0;        // |G|: (state, term) pairs created
   uint64_t arcs = 0;         // arc traversals (edge enumerations)
   uint64_t iterations = 0;   // main-loop iterations performed
-  uint64_t expansions = 0;   // machine copies spliced into EM
+  uint64_t expansions = 0;   // machine copies appended to EM
   uint64_t continuations = 0;  // continuation points gathered overall
-  uint64_t em_states = 0;    // final size of EM(p, h)
+  uint64_t em_states = 0;    // final size of EM(p, h): sum of copy sizes
   uint64_t fetches = 0;      // EDB tuple retrievals during this query
   /// Read-only fallback scans of frozen wide relations (arity >
   /// Relation::kEagerFreezeArity) whose probed mask was never indexed
@@ -163,13 +175,30 @@ class Engine {
   // (and thus hit the registry's compiled-machine cache).
   std::unordered_map<SymbolId, LinearNormalForm> normal_forms_;
 
+  // One machine copy of the EM(p, i) hierarchy (see the file comment).
+  struct Copy {
+    const Nfa* m;   // the shared compiled M(e_r) this copy addresses
+    uint32_t base;  // global id of m's local state 0
+    uint32_t ret;   // target of the final state's id arc; kNone for the root
+  };
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// Appends a copy of `m` returning to `ret`; returns its copy index.
+  uint32_t AddCopy(const Nfa* m, uint32_t ret);
+
   // Per-query scratch, cleared (capacity kept) at the top of EvalFrom so a
   // long-lived engine answers query streams without reallocating its node
-  // sets from scratch each time.
+  // sets from scratch each time. Copy records point into the machine maps,
+  // which TakeMachines() may move between queries, so none outlives a call.
   FlatSet64 g_;          // the node set of G(p, a, i)
   DenseBits answer_set_;
-  FlatSet64 c_set_;
-  std::unordered_map<uint32_t, std::vector<TermId>> c_by_state_;
+  std::vector<Copy> copies_;       // copies_[0] is the root M(e_p)
+  std::vector<uint32_t> copy_of_;  // global state -> copy index
+  std::vector<uint32_t> child_;    // global state -> expanding copy, or kNone
+  // Continuation points (state, term) of the current iteration. g_ visits
+  // each node once and a state has at most one derived arc, so each point
+  // is gathered once without a dedup set.
+  std::vector<std::pair<uint32_t, TermId>> continuations_;
   std::vector<std::pair<uint32_t, TermId>> stack_;
   std::vector<std::pair<uint32_t, TermId>> seeds_;
   // View pointers per transition predicate; registry entries are stable for

@@ -60,7 +60,7 @@ struct QueryTrace {
   double total_ms = 0;       ///< submit -> completion callback
 
   uint64_t iterations = 0;     ///< fixpoint iterations
-  uint64_t expansions = 0;     ///< derived-transition machine splices
+  uint64_t expansions = 0;     ///< machine copies appended to EM(p, i)
   uint64_t fetches = 0;        ///< relation tuple retrievals
   uint64_t memo_hits = 0;      ///< closure/adjacency memo hits
   uint64_t cancel_checks = 0;  ///< cancellation polls observed

@@ -701,12 +701,13 @@ void DataServer::ServeConnection(int fd) {
   for (size_t served = 0; served < options_.max_requests_per_connection;
        ++served) {
     if (!running_.load(std::memory_order_acquire)) return;
-    if (!ServeOne(fd, peer, &carry)) return;
+    bool last = served + 1 == options_.max_requests_per_connection;
+    if (!ServeOne(fd, peer, &carry, last)) return;
   }
 }
 
 bool DataServer::ServeOne(int fd, const std::string& peer,
-                          std::string* carry) {
+                          std::string* carry, bool last) {
   // Read the request head (tolerating bytes of it already in *carry from
   // the previous read).
   size_t head_end;
@@ -751,14 +752,16 @@ bool DataServer::ServeOne(int fd, const std::string& peer,
   }
 
   // Keep-alive is the HTTP/1.1 default; HTTP/1.0 must opt in. The
-  // connection budget caps reuse regardless.
+  // connection budget caps reuse regardless: the response that spends it
+  // announces the close.
   std::string connection;
   if (auto it = req.headers.find("connection"); it != req.headers.end()) {
     connection = it->second;
     for (char& c : connection) c = static_cast<char>(std::tolower(c));
   }
-  bool keep_alive = req.version == "HTTP/1.1" ? connection != "close"
-                                              : connection == "keep-alive";
+  bool keep_alive = !last && (req.version == "HTTP/1.1"
+                                  ? connection != "close"
+                                  : connection == "keep-alive");
 
   if (req.path != "/v1/query") {
     errors_.fetch_add(1, std::memory_order_relaxed);

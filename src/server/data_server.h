@@ -137,9 +137,12 @@ class DataServer {
   /// then closes it. Returns when the client hangs up, errors, or asks
   /// `Connection: close`.
   void ServeConnection(int fd);
-  /// One request/response exchange. Returns whether the connection is
-  /// still healthy enough for another request.
-  bool ServeOne(int fd, const std::string& peer, std::string* carry);
+  /// One request/response exchange; `last` marks the request that spends
+  /// the connection's budget (its response says `Connection: close`).
+  /// Returns whether the connection is still healthy enough for another
+  /// request.
+  bool ServeOne(int fd, const std::string& peer, std::string* carry,
+                bool last);
   /// Parses, admits, submits, and streams (or buffers) one query.
   bool HandleQuery(int fd, const HttpRequest& req, const std::string& peer,
                    bool keep_alive);

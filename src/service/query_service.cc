@@ -108,7 +108,7 @@ struct ServiceObs {
         "(state, term) nodes inserted by traversals");
     engine_expansions = r.GetCounter(
         "binchain_engine_machine_expansions_total",
-        "Derived-transition machine splices (EM(p, i) growth steps)");
+        "Machine copies appended to EM(p, i) (derived-arc expansions)");
     engine_fetches = r.GetCounter("binchain_engine_fetches_total",
                                   "EDB tuple retrievals");
     engine_memo_hits =

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "automata/nfa.h"
+#include "util/rng.h"
 
 namespace binchain {
 namespace {
@@ -50,27 +51,6 @@ TEST_F(NfaTest, StarAllowsSkipAndRepeat) {
   EXPECT_EQ(CountKind(nfa, NfaLabel::Kind::kRel), 1u);
 }
 
-TEST_F(NfaTest, SpliceCopyRenumbersStates) {
-  Nfa m = BuildNfa(Rex::Pred(a_), [](SymbolId) { return false; });
-  Nfa em;
-  uint32_t off1 = em.SpliceCopy(m);
-  uint32_t off2 = em.SpliceCopy(m);
-  EXPECT_EQ(off1, 0u);
-  EXPECT_EQ(off2, m.NumStates());
-  EXPECT_EQ(em.NumStates(), 2 * m.NumStates());
-  // The copied transitions point inside their own copy.
-  EXPECT_EQ(em.Out(off2 + m.initial())[0].target, off2 + m.final());
-}
-
-TEST_F(NfaTest, RemoveDerivedTransition) {
-  Nfa nfa = BuildNfa(Rex::Pred(p_), [&](SymbolId s) { return s == p_; });
-  uint32_t from = nfa.initial();
-  uint32_t to = nfa.final();
-  EXPECT_TRUE(nfa.RemoveDerivedTransition(from, p_, to));
-  EXPECT_FALSE(nfa.RemoveDerivedTransition(from, p_, to));
-  EXPECT_TRUE(nfa.Out(from).empty());
-}
-
 TEST_F(NfaTest, InvertedLeafKeepsFlag) {
   Nfa nfa =
       BuildNfa(Rex::Pred(a_, /*inverted=*/true), [](SymbolId) { return false; });
@@ -89,6 +69,58 @@ TEST_F(NfaTest, FigureOneAutomatonShape) {
   Nfa nfa = BuildNfa(e, [&](SymbolId s) { return s == p_; });
   EXPECT_EQ(CountKind(nfa, NfaLabel::Kind::kRel), 4u);
   EXPECT_EQ(CountKind(nfa, NfaLabel::Kind::kDerived), 1u);
+}
+
+// Random expression trees, built node by node (bypassing the smart
+// constructors' flattening, so nested unions, stars of stars and id/empty
+// operands all reach BuildNfa).
+RexPtr RandomRex(Rng& rng, int depth, const std::vector<SymbolId>& preds) {
+  auto node = [](Rex::Kind kind, std::vector<RexPtr> kids) -> RexPtr {
+    auto r = std::make_shared<Rex>();
+    r->kind = kind;
+    r->kids = std::move(kids);
+    return r;
+  };
+  uint64_t pick = depth <= 0 ? rng.Below(3) : rng.Below(6);
+  switch (pick) {
+    case 0:
+      return rng.Chance(1, 8) ? Rex::Empty() : Rex::Id();
+    case 1:
+    case 2:
+      return Rex::Pred(preds[rng.Below(preds.size())], rng.Chance(1, 3));
+    case 3:
+      return node(Rex::Kind::kStar, {RandomRex(rng, depth - 1, preds)});
+    default: {
+      std::vector<RexPtr> kids(rng.Between(2, 4));
+      for (RexPtr& k : kids) k = RandomRex(rng, depth - 1, preds);
+      return node(pick == 4 ? Rex::Kind::kUnion : Rex::Kind::kConcat,
+                  std::move(kids));
+    }
+  }
+}
+
+// The engine addresses EM(p, i) as (copy, local state) and keeps one child
+// copy per state, which is sound only because every Thompson state has at
+// most one non-id (relation or derived) arc.
+TEST_F(NfaTest, EveryStateHasAtMostOneNonIdArc) {
+  std::vector<SymbolId> preds = {a_, b_, p_};
+  auto is_derived = [&](SymbolId s) { return s == p_; };
+  Rng rng(42);
+  size_t derived_arcs = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    RexPtr e = RandomRex(rng, static_cast<int>(rng.Between(1, 6)), preds);
+    Nfa nfa = BuildNfa(e, is_derived);
+    for (uint32_t s = 0; s < nfa.NumStates(); ++s) {
+      size_t non_id = 0;
+      for (const NfaTransition& t : nfa.Out(s)) {
+        if (t.label.kind != NfaLabel::Kind::kId) ++non_id;
+        if (t.label.kind == NfaLabel::Kind::kDerived) ++derived_arcs;
+      }
+      ASSERT_LE(non_id, 1u) << "trial " << trial << " state q" << s << "\n"
+                            << nfa.ToString(symbols_);
+    }
+  }
+  EXPECT_GT(derived_arcs, 0u);  // the trees did exercise derived leaves
 }
 
 }  // namespace

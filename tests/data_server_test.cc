@@ -463,6 +463,38 @@ TEST(DataServerTest, KeepAliveServesMultipleQueriesOnOneConnection) {
   EXPECT_GE(fx.server->requests_served(), 3u);
 }
 
+TEST(DataServerTest, ConnectionBudgetAnnouncesCloseOnLastResponse) {
+  DataServerOptions opts;
+  opts.max_requests_per_connection = 3;
+  DataFixture fx(16, opts);
+  int fd = ConnectTo(fx.server->port());
+  ASSERT_GE(fd, 0);
+  std::string carry;
+  for (int round = 0; round < 3; ++round) {
+    std::string raw = QueryRequestRaw("{\"pred\": \"sg\", \"source\": \"" +
+                                      fx.source + "\"}");
+    ASSERT_EQ(send(fd, raw.data(), raw.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(raw.size()));
+    HttpResult r;
+    ASSERT_TRUE(ReadResponse(fd, &carry, &r)) << "round " << round;
+    EXPECT_EQ(r.status, 200);
+    // The response that spends the budget says so; earlier ones invite
+    // reuse.
+    EXPECT_EQ(r.headers["connection"], round < 2 ? "keep-alive" : "close")
+        << "round " << round;
+    EXPECT_NE(r.body.find("\"status\": \"ok\""), std::string::npos);
+  }
+  // Nothing follows the announced close: the server hangs up. (The
+  // timeout turns a server that keeps the socket open into a failure, not
+  // a hang.)
+  EXPECT_TRUE(carry.empty());
+  timeval tv{5, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  char byte;
+  EXPECT_EQ(recv(fd, &byte, 1, 0), 0);
+  close(fd);
+}
+
 TEST(DataServerTest, MidStreamDeadlineYieldsWellFormedPartialTrailer) {
   DataFixture fx(1024);
   // A budget far below the uncancelled runtime (hundreds of ms at

@@ -194,6 +194,99 @@ TEST_F(EngineTest, EngineReuseAcrossRepeatedAndDistinctQueries) {
   }
 }
 
+// Golden counters: the exact EvalStats of the paper's workloads, pinned so
+// a rewrite of the EM(p, i) bookkeeping (how machine copies are addressed,
+// how continuation points are gathered) cannot silently change the work the
+// algorithm does. Every counter here is a property of G(p, a, i) and of the
+// expansion hierarchy, not of how either is stored.
+struct GoldenStats {
+  uint64_t tuples;
+  uint64_t nodes;
+  uint64_t arcs;
+  uint64_t iterations;
+  uint64_t expansions;
+  uint64_t continuations;
+  uint64_t em_states;
+  uint64_t fetches;
+  std::vector<uint64_t> answers_per_iteration;
+  bool hit_iteration_cap = false;
+};
+
+void ExpectGolden(const QueryAnswer& a, const GoldenStats& g) {
+  EXPECT_EQ(a.tuples.size(), g.tuples);
+  EXPECT_EQ(a.stats.nodes, g.nodes);
+  EXPECT_EQ(a.stats.arcs, g.arcs);
+  EXPECT_EQ(a.stats.iterations, g.iterations);
+  EXPECT_EQ(a.stats.expansions, g.expansions);
+  EXPECT_EQ(a.stats.continuations, g.continuations);
+  EXPECT_EQ(a.stats.em_states, g.em_states);
+  EXPECT_EQ(a.stats.fetches, g.fetches);
+  EXPECT_EQ(a.fetches, g.fetches);
+  EXPECT_EQ(a.stats.answers_per_iteration, g.answers_per_iteration);
+  EXPECT_EQ(a.stats.hit_iteration_cap, g.hit_iteration_cap);
+  EXPECT_FALSE(a.stats.cancelled);
+}
+
+QueryAnswer RunSg(Database& db, const std::string& query,
+                  const EvalOptions& options = {}) {
+  QueryEngine qe(&db);
+  EXPECT_TRUE(qe.LoadProgramText(workloads::SgProgramText()).ok());
+  auto r = qe.Query(query, options);
+  EXPECT_TRUE(r.ok()) << r.status().message();
+  return r.ok() ? r.value() : QueryAnswer{};
+}
+
+std::vector<uint64_t> Ramp(uint64_t n) {  // 1, 2, ..., n
+  std::vector<uint64_t> v(n);
+  for (uint64_t i = 0; i < n; ++i) v[i] = i + 1;
+  return v;
+}
+
+TEST_F(EngineTest, GoldenCountersFig7a) {
+  std::string a = workloads::Fig7a(db_, 256);
+  ExpectGolden(RunSg(db_, "sg(" + a + ", Y)"),
+               {256, 2828, 2825, 3, 2, 257, 30, 1025, {0, 0, 256}});
+}
+
+TEST_F(EngineTest, GoldenCountersFig7b) {
+  // Theta(n^2) nodes; answer b_j appears after iteration j.
+  std::string a = workloads::Fig7b(db_, 256);
+  ExpectGolden(RunSg(db_, "sg(" + a + ", Y)"),
+               {256, 132350, 132094, 256, 255, 255, 2560, 33151, Ramp(256)});
+}
+
+TEST_F(EngineTest, GoldenCountersFig7c) {
+  // The ladder: one expansion and one continuation per rung.
+  std::string a = workloads::Fig7c(db_, 256);
+  ExpectGolden(RunSg(db_, "sg(" + a + ", Y)"),
+               {1, 2555, 2554, 256, 255, 255, 2560, 766,
+                std::vector<uint64_t>(256, 1)});
+}
+
+TEST_F(EngineTest, GoldenCountersFig8CyclicBound) {
+  // m = 3, n = 5: the |D1| * |D2| = 15 bound stops the run (reported as
+  // hitting the iteration cap); the last iteration gathers a continuation
+  // point it never expands.
+  std::string a = workloads::Fig8(db_, 3, 5);
+  EvalOptions opt;
+  opt.use_cyclic_bound = true;
+  ExpectGolden(RunSg(db_, "sg(" + a + ", Y)", opt),
+               {5, 245, 230, 15, 14, 15, 150, 69,
+                {0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5},
+                /*hit_iteration_cap=*/true});
+}
+
+TEST_F(EngineTest, GoldenCountersInvertedSystem) {
+  // sg(X, b1) runs the inverted equation system from b1; a1 is its only
+  // answer and surfaces in the last of the n iterations.
+  workloads::Fig7b(db_, 256);
+  std::vector<uint64_t> per_iteration(256, 0);
+  per_iteration.back() = 1;
+  ExpectGolden(RunSg(db_, "sg(X, b1)"),
+               {1, 132860, 132604, 256, 255, 255, 2560, 33151,
+                per_iteration});
+}
+
 TEST_F(EngineTest, BaseRelationQueriesAnswerDirectly) {
   db_.AddFact("e", {"a", "b"});
   db_.AddFact("e", {"a", "a"});

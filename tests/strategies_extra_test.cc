@@ -84,7 +84,7 @@ TEST(EngineStatsTest, ExpansionsTrackIterationsOnSg) {
   ASSERT_TRUE(qe.LoadProgramText(workloads::SgProgramText()).ok());
   auto r = qe.Query("sg(" + a + ", Y)");
   ASSERT_TRUE(r.ok());
-  // One sg machine copy is spliced per non-final iteration.
+  // One sg machine copy is appended per non-final iteration.
   EXPECT_EQ(r.value().stats.expansions, r.value().stats.iterations - 1);
   // The answer trace is monotone and ends at the answer count.
   const auto& trace = r.value().stats.answers_per_iteration;
