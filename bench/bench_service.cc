@@ -94,6 +94,11 @@ struct BenchResult {
   double wall_ms = 0;    // best-of-reps batch wall time
   double qps = 0;        // queries / second at the best rep (blocking path)
   double async_qps = 0;  // same batch through SubmitBatch + futures
+  // Queries that actually evaluated (neither single-flight waiters nor
+  // cache hits) in the recorded blocking rep and in the async rep. Both
+  // paths collapse identical requests exactly, so these must agree.
+  uint64_t evaluated = 0;
+  uint64_t async_evaluated = 0;
   double speedup = 1;    // vs the 1-thread run of the same batch
   // Per-query latency percentiles over every query of this run (all reps,
   // blocking + async), read back from the service's own
@@ -125,6 +130,16 @@ uint64_t HashResponses(const std::vector<QueryResponse>& responses) {
     }
   }
   return h;
+}
+
+/// Responses that ran their own evaluation: neither replayed from an
+/// identical in-flight request nor served from the answer cache.
+uint64_t CountEvaluated(const std::vector<QueryResponse>& responses) {
+  uint64_t n = 0;
+  for (const QueryResponse& r : responses) {
+    if (!r.trace.collapsed && !r.trace.cache_hit) ++n;
+  }
+  return n;
 }
 
 /// Every constant interned in the database: the all-sources request set.
@@ -275,6 +290,7 @@ BenchResult RunBatch(Batch& batch, size_t threads, int reps,
                         : 0;
   for (const QueryResponse& resp : responses) r.status.Count(resp.status);
   r.result_hash = HashResponses(responses);
+  r.evaluated = CountEvaluated(responses);
 
   // One async rep: the same batch through SubmitBatch + futures. Results
   // must be identical to the blocking path (same workers, same epoch);
@@ -288,6 +304,7 @@ BenchResult RunBatch(Batch& batch, size_t threads, int reps,
     double ms = MsSince(t0);
     r.async_qps =
         ms > 0 ? 1000.0 * static_cast<double>(r.queries) / ms : 0;
+    r.async_evaluated = CountEvaluated(aresp);
     if (astats.failed != 0 || HashResponses(aresp) != r.result_hash) {
       r.ok = false;
       r.error = "async submission diverged from blocking batch";
@@ -536,9 +553,10 @@ ObsOverheadResult RunObsOverhead(Batch& batch, size_t threads, int reps) {
 /// distribution over the ranked constants, the request shape the answer
 /// cache exists for. The same deterministic stream runs against a
 /// cache-off and a cache-on service over one shared frozen database;
-/// one-at-a-time submission keeps in-batch dedup out of the picture, so
-/// the A/B isolates the cache itself. Responses are hashed in stream
-/// order on both sides — the cache must never change an answer.
+/// one-at-a-time submission never overlaps two identical requests, so
+/// single-flight stays out of the picture and the A/B isolates the cache.
+/// Responses are hashed in stream order on both sides — the cache must
+/// never change an answer.
 struct SkewedCacheResult {
   std::string name;
   uint64_t queries = 0;
@@ -884,10 +902,11 @@ int main(int argc, char** argv) {
   if (!invalidation.ok || !invalidation.selective) ++failures;
 
   std::printf(
-      "%-28s %8s %10s %10s %10s %12s %12s %10s %8s %10s %8s %8s %8s %6s\n",
+      "%-28s %8s %10s %10s %10s %12s %12s %10s %8s %10s %8s %8s %8s %6s "
+      "%11s\n",
       "batch", "queries", "tuples", "startup_ms", "wall_ms", "queries/sec",
       "async_qps", "speedup", "fetches", "memo_hits", "p50_ms", "p95_ms",
-      "p99_ms", "same");
+      "p99_ms", "same", "evals b/a");
   for (const BenchResult& r : results) {
     if (!r.ok) {
       ++failures;
@@ -897,13 +916,15 @@ int main(int argc, char** argv) {
     if (!r.identical) ++failures;
     std::printf(
         "%-28s %8llu %10llu %10.3f %10.3f %12.1f %12.1f %9.2fx %8llu %10llu "
-        "%8.3f %8.3f %8.3f %6s\n",
+        "%8.3f %8.3f %8.3f %6s %5llu/%-5llu\n",
         r.name.c_str(), static_cast<unsigned long long>(r.queries),
         static_cast<unsigned long long>(r.tuples), r.startup_ms, r.wall_ms,
         r.qps, r.async_qps, r.speedup,
         static_cast<unsigned long long>(r.fetches),
         static_cast<unsigned long long>(r.memo_hits), r.p50_ms, r.p95_ms,
-        r.p99_ms, r.identical ? "yes" : "NO");
+        r.p99_ms, r.identical ? "yes" : "NO",
+        static_cast<unsigned long long>(r.evaluated),
+        static_cast<unsigned long long>(r.async_evaluated));
   }
   if (overhead.ok) {
     std::printf(
@@ -994,6 +1015,8 @@ int main(int argc, char** argv) {
           << ", \"startup_ms\": " << r.startup_ms
           << ", \"wall_ms\": " << r.wall_ms << ", \"qps\": " << r.qps
           << ", \"async_qps\": " << r.async_qps
+          << ", \"evaluated\": " << r.evaluated
+          << ", \"async_evaluated\": " << r.async_evaluated
           << ", \"speedup\": " << r.speedup << ", \"p50_ms\": " << r.p50_ms
           << ", \"p95_ms\": " << r.p95_ms << ", \"p99_ms\": " << r.p99_ms
           << ", \"tuples\": " << r.tuples

@@ -8,8 +8,14 @@ fails (exit 1) on structural regressions that survive machine-speed noise:
   across thread counts — bench_service folds its identical-results check
   into ``ok``);
 * ``bench_service``: within one smoke run, entries of the same batch at
-  different thread counts must agree on ``result_hash``, ``tuples`` and
-  ``fetches`` (schedule-independence of results and aggregate t-cost);
+  different thread counts must agree on ``result_hash``, ``tuples``,
+  ``fetches`` and ``evaluated`` (schedule-independence of results,
+  aggregate t-cost and single-flight collapsing);
+* ``bench_service``: every entry's blocking rep and async rep must
+  evaluate the same number of queries (``evaluated`` vs
+  ``async_evaluated``) — both paths collapse identical requests exactly,
+  and an async path that lets duplicates escape their flight was the
+  regression behind erratic async throughput;
 * ``bench_service``: a batch family whose committed baseline shows zero
   batch fetches (the epoch-shared-artifact effect) must still show zero in
   the smoke run — fetch totals "bouncing back from zero" was the
@@ -123,7 +129,7 @@ def check_service(baseline, smoke, errors):
     for b in sm:
         groups[family(b["name"])].append(b)
     for fam, entries in groups.items():
-        for key in ("result_hash", "tuples", "fetches"):
+        for key in ("result_hash", "tuples", "fetches", "evaluated"):
             if key not in entries[0]:
                 continue  # older snapshot without the field
             values = {e.get(key) for e in entries}
@@ -131,6 +137,16 @@ def check_service(baseline, smoke, errors):
                 errors.append(
                     f"service: batch '{fam}' disagrees on {key} across "
                     f"thread counts: {sorted(map(str, values))}")
+
+    # Single-flight: the async path collapses exactly like the blocking one.
+    for b in sm:
+        if "evaluated" not in b or "async_evaluated" not in b:
+            continue  # older snapshot without the fields
+        if b["evaluated"] != b["async_evaluated"]:
+            errors.append(
+                f"service: batch '{b['name']}' evaluated {b['evaluated']} "
+                f"queries blocking but {b['async_evaluated']} async — "
+                "identical requests escaped single-flight on one path")
 
     # Fetch totals must not bounce back from zero where the baseline
     # established zero (epoch-shared artifacts serving every probe).

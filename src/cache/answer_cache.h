@@ -4,7 +4,7 @@
 // same chain queries arrive over and over: the cache stores one
 // materialized answer set per (program fingerprint, predicate, binding)
 // key so a repeat is served on the caller thread in microseconds instead
-// of paying the full queue + traversal round trip. Three load-bearing
+// of paying the full queue + traversal round trip. Two load-bearing
 // mechanisms:
 //
 //  * Epoch-scoped invalidation. Every entry records its *support set* —
@@ -19,32 +19,26 @@
 //    shared_ptr pin makes the comparison ABA-safe (the old object cannot
 //    be freed and its address reused while the entry holds it).
 //
-//  * Single-flight collapsing. Concurrent identical misses on one epoch
-//    coalesce onto one in-flight evaluation: the first miss registers a
-//    flight and evaluates; later misses park their (type-erased) waiter
-//    state on the flight instead of submitting N redundant traversals.
-//    The finishing leader takes the waiters back and fans the answer out,
-//    each waiter still honoring its own deadline/cancel token.
-//
 //  * Bounded memory. Segmented LRU (probation -> protected) per shard
 //    with per-entry byte accounting against a fixed cap: a new entry
 //    lands in probation, a re-hit promotes it, eviction drains probation
 //    tails first so one burst of one-shot queries cannot flush the
 //    protected working set.
 //
+// The cache is a pure answer store. Collapsing concurrent identical
+// misses onto one evaluation is the service's single-flight table, which
+// runs whether or not a cache exists.
+//
 // Thread safety: every public method is safe from any thread. Shards are
-// independently locked; the flight table has its own lock. Nothing here
-// blocks on evaluation — the cache only stores finished answers.
+// independently locked. Nothing here blocks on evaluation — the cache only
+// stores finished answers.
 #ifndef BINCHAIN_CACHE_ANSWER_CACHE_H_
 #define BINCHAIN_CACHE_ANSWER_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "eval/engine.h"
@@ -89,7 +83,6 @@ struct CacheSnapshot {
   uint64_t inserts = 0;
   uint64_t evictions = 0;
   uint64_t invalidations = 0;  // entries dropped by support-set changes
-  uint64_t collapsed = 0;      // waiters coalesced onto in-flight leaders
   uint64_t entries = 0;
   uint64_t bytes = 0;
   uint64_t max_bytes = 0;
@@ -110,7 +103,7 @@ class AnswerCache {
   /// support sets, bookkeeping); must be > 0 — a service that wants no
   /// cache simply constructs none. `program_fingerprint` identifies the
   /// prepared program the keys were derived under (recorded in every key;
-  /// see QueryService::CacheKey).
+  /// see QueryService::RequestKey).
   AnswerCache(size_t max_bytes, uint64_t program_fingerprint);
   ~AnswerCache();  // out-of-line: Shard is incomplete here
   AnswerCache(const AnswerCache&) = delete;
@@ -139,31 +132,11 @@ class AnswerCache {
   /// invalidation counter meaningful per publish.
   void OnPublish(const Database& tip);
 
-  /// Single-flight admission for a miss on (key, epoch).
-  enum class FlightDecision {
-    kLeader,      // no flight existed: caller must evaluate and finish it
-    kJoined,      // waiter parked on the in-flight leader; do not evaluate
-    kStandalone,  // a flight exists for a *different* epoch: evaluate
-                  // independently, no flight bookkeeping
-  };
-  FlightDecision JoinFlight(const std::string& key, uint64_t epoch,
-                            std::shared_ptr<void> waiter);
-
-  /// Ends the flight the caller leads and returns its parked waiters (the
-  /// caller fans the result out to them). Always call after kLeader, on
-  /// every exit path — success, failure, or shed — or waiters leak.
-  std::vector<std::shared_ptr<void>> FinishFlight(const std::string& key,
-                                                  uint64_t epoch);
-
-  /// Bumps the collapsed counters for one fanned-out waiter (in-batch
-  /// dedup followers, counted at fan-out rather than join time).
-  void NoteCollapsed();
-
   /// Records one cache-hit response latency into
   /// binchain_cache_hit_latency_ms.
   void ObserveHitLatency(double ms);
 
-  /// Drops every entry (counters survive; flights are untouched).
+  /// Drops every entry (counters survive).
   void Clear();
 
   CacheSnapshot Snapshot() const;
@@ -194,23 +167,15 @@ class AnswerCache {
   const uint64_t fingerprint_;
   std::unique_ptr<Shard[]> shards_;
 
-  struct Flight {
-    uint64_t epoch = 0;
-    std::vector<std::shared_ptr<void>> waiters;
-  };
-  std::mutex flight_mu_;
-  std::unordered_map<std::string, Flight> flights_;
-
   // Per-cache counters (Snapshot) ...
   std::atomic<uint64_t> hits_{0}, misses_{0}, inserts_{0}, evictions_{0},
-      invalidations_{0}, collapsed_{0};
+      invalidations_{0};
   // ... mirrored into the process-wide binchain_cache_* registry family.
   obs::Counter* m_hits_;
   obs::Counter* m_misses_;
   obs::Counter* m_inserts_;
   obs::Counter* m_evictions_;
   obs::Counter* m_invalidations_;
-  obs::Counter* m_collapsed_;
   obs::Gauge* m_bytes_;
   obs::Gauge* m_entries_;
   obs::Histogram* m_hit_latency_;

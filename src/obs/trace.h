@@ -80,7 +80,8 @@ struct QueryTrace {
   /// evaluation's.
   bool cache_hit = false;
   /// Result replayed from another query's evaluation: a single-flight
-  /// waiter fanned out by its leader, or an in-batch dedup follower.
+  /// waiter answered when the identical request it joined finished (in
+  /// its own batch or another; cache on or off).
   bool collapsed = false;
 
   /// One JSON object (no trailing newline), appended to *out.

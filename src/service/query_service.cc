@@ -92,6 +92,10 @@ struct ServiceObs {
     cancelled = r.GetCounter(
         "binchain_service_cancelled_total",
         "Queries cancelled through their future (or by dropping it)");
+    collapsed = r.GetCounter(
+        "binchain_service_collapsed_total",
+        "Queries that joined an identical in-flight evaluation (counted "
+        "at join)");
     latency_ms = r.GetHistogram("binchain_service_latency_ms",
                                 "Query latency, submission to completion");
     queue_wait_ms =
@@ -133,6 +137,7 @@ struct ServiceObs {
   obs::Counter* shed;
   obs::Counter* timed_out;
   obs::Counter* cancelled;
+  obs::Counter* collapsed;
   obs::Histogram* latency_ms;
   obs::Histogram* queue_wait_ms;
   obs::Gauge* queue_depth;
@@ -186,32 +191,49 @@ struct AsyncQueryState {
   bool ran = false;
   std::shared_ptr<BatchShared> batch;
 
-  /// Exact-match key (QueryService::RequestKey). Empty when neither the
-  /// cache nor in-batch dedup applies to this submission.
-  std::string cache_key;
+  /// Exact-match key (QueryService::RequestKey): the cache key and the
+  /// single-flight key. Set by the front half once admission passed.
+  std::string key;
   /// This query leads a single-flight: FinishEval (or the shed path) must
-  /// FinishFlight and fan the outcome out to the parked waiters.
+  /// end the flight and answer the parked waiters.
   bool flight_leader = false;
   /// The response replays an answer that was evaluated elsewhere (cache
-  /// hit, single-flight waiter, dedup follower): CompleteQuery skips the
-  /// engine_* registry fold — that work was accounted when it actually ran
-  /// — and MaybeCacheInsert never re-inserts it.
+  /// hit, single-flight waiter): CompleteQuery skips the engine_* registry
+  /// fold — that work was accounted when it actually ran — and
+  /// MaybeCacheInsert never re-inserts it.
   bool replayed = false;
-  /// EvalBatch only: completed at submission (cache hit) or owned by an
-  /// in-batch dedup leader; claim-cursor runners pass it over.
-  bool skip = false;
-  /// In-batch dedup: identical requests of one batch attach here and the
-  /// leader's FinishEval fans its answer out to them. Both fields are
-  /// guarded by batch->mu; once fanout_started is set attachment is over
-  /// and late duplicates submit themselves.
-  bool fanout_started = false;
-  std::vector<std::shared_ptr<AsyncQueryState>> followers;
+};
+
+/// The single-flight table: one entry per request key whose evaluation is
+/// in flight. Identical requests that may join it (see QueryService::Join)
+/// park here as waiters instead of evaluating; the leader takes them back
+/// when it finishes, on every exit path.
+struct FlightTable {
+  struct Flight {
+    uint64_t epoch = 0;  // the leader's snapshot
+    /// The leader's deadline (CancelToken::deadline: max() when none).
+    CancelToken::Clock::time_point deadline;
+    /// Led from Submit/SubmitBatch, so the leader may still be shed.
+    bool async = false;
+    std::vector<std::shared_ptr<AsyncQueryState>> waiters;
+  };
+  using Map = std::unordered_map<std::string, Flight>;
+  /// Ended flights' nodes kept for reuse, at most kMaxSpare. An entry is
+  /// created on the submitting thread and ended on a worker; freeing it
+  /// there hands its memory to that worker's allocator cache, where
+  /// long-lived allocations then pin it (measured: +5 MiB peak RSS on
+  /// e2ebench's ingest_durable, whose warm pass runs 2024 Evals; 4-vCPU
+  /// Xeon VM).
+  static constexpr size_t kMaxSpare = 1024;
+  std::mutex mu;
+  Map flights;                        // guarded by mu
+  std::vector<Map::node_type> spare;  // guarded by mu
 };
 
 namespace {
 
 /// Replays an already-materialized answer set to the request's streaming
-/// sink as one chunk (cache hits, single-flight waiters, dedup followers):
+/// sink as one chunk (cache hits, single-flight waiters):
 /// streaming consumers still receive every tuple, just without incremental
 /// boundaries — the answer existed in full before this request saw it.
 void ReplayToSink(AsyncQueryState& q) {
@@ -220,6 +242,43 @@ void ReplayToSink(AsyncQueryState& q) {
   q.request.sink->OnAnswers(q.response.tuples.data(),
                             q.response.tuples.size(),
                             q.batch->db->symbols());
+}
+
+/// Answers `q` from its own token when it tripped — cancelled, or past its
+/// deadline — without evaluating anything. Returns whether it did.
+bool AnswerIfTripped(AsyncQueryState& q) {
+  QueryResponse& resp = q.response;
+  if (q.token.cancelled()) {
+    resp.cancelled = true;
+    resp.status = Status::Cancelled("request cancelled before evaluation");
+    return true;
+  }
+  if (q.token.Expired()) {
+    resp.timed_out = true;
+    resp.status = Status::DeadlineExceeded(
+        "request deadline expired before evaluation");
+    return true;
+  }
+  return false;
+}
+
+/// Replays `source`'s answer into waiter `w` (trace.collapsed), unless
+/// w's own token tripped — then w gets its own failure, without work.
+void Replay(const AsyncQueryState& source, AsyncQueryState& w) {
+  QueryResponse& r = w.response;
+  r.epoch = w.batch->db->epoch();
+  // The waiter's own token rules first — a replayed answer must not
+  // resurrect a request its caller already cancelled or deadlined.
+  if (AnswerIfTripped(w)) return;
+  const QueryResponse& sr = source.response;
+  r.tuples = sr.tuples;
+  r.stats = sr.stats;
+  r.fetches = sr.fetches;
+  r.trace.pred = sr.trace.pred;
+  r.trace.source = sr.trace.source;
+  r.trace.collapsed = true;
+  w.replayed = true;
+  ReplayToSink(w);
 }
 
 }  // namespace
@@ -494,6 +553,7 @@ bool QueryService::Init(const Program& program, const Options& options) {
   // Instruments first, even on failed construction: submissions against a
   // failed service still complete (with init_status_) and record spans.
   obs_ = std::make_unique<ServiceObs>(options);
+  flights_ = std::make_unique<FlightTable>();
   if (!options.slow_query_log_path.empty()) {
     Status s = obs_->slow_log.Open(options.slow_query_log_path,
                                    options.slow_query_log_min_ms,
@@ -539,19 +599,19 @@ bool QueryService::Init(const Program& program, const Options& options) {
   }
   plan_ = plan.take();
 
+  // Key prefix = the plan fingerprint over the same canonical program
+  // rendering CompatiblePlan compares, so keys from a service with a
+  // different rule set can never collide into this cache's entries.
+  const uint64_t fp =
+      FingerprintProgram(ProgramToString(plan_->program, db_->symbols()));
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(fp));
+  key_prefix_.assign(buf);
+  key_prefix_ += '\x1f';
   if (options.answer_cache_bytes > 0) {
-    // Key prefix = the plan fingerprint over the same canonical program
-    // rendering CompatiblePlan compares, so keys from a service with a
-    // different rule set can never collide into this cache's entries.
-    const uint64_t fp =
-        FingerprintProgram(ProgramToString(plan_->program, db_->symbols()));
     answer_cache_ =
         std::make_shared<cache::AnswerCache>(options.answer_cache_bytes, fp);
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fp));
-    cache_key_prefix_.assign(buf);
-    cache_key_prefix_ += '\x1f';
   }
 
   size_t n = options.num_threads;
@@ -637,17 +697,7 @@ void QueryService::RunOne(size_t worker_id, AsyncQueryState& q) {
   resp.trace.queue_wait_ms = MsSince(q.batch->t0);
   // Token check at pickup: a request cancelled or expired while queued is
   // answered without evaluating (or rebinding) anything.
-  if (q.token.cancelled()) {
-    resp.cancelled = true;
-    resp.status = Status::Cancelled("request cancelled before evaluation");
-    return;
-  }
-  if (q.token.Expired()) {
-    resp.timed_out = true;
-    resp.status = Status::DeadlineExceeded(
-        "request deadline expired before evaluation");
-    return;
-  }
+  if (AnswerIfTripped(q)) return;
   Worker& w = *workers_[worker_id];
   if (live_ != nullptr && w.bound_epoch != qdb->epoch()) {
     // Epoch bump: re-point this worker's views at the batch's snapshot.
@@ -712,9 +762,9 @@ std::string QueryService::RequestKey(const QueryRequest& req) const {
   // spellings' role here — pred/source/target are caller strings, and a
   // '\x1f' inside one still keys deterministically, just conservatively).
   std::string key;
-  key.reserve(cache_key_prefix_.size() + req.pred.size() +
-              req.source.size() + req.target.size() + 16);
-  key += cache_key_prefix_;
+  key.reserve(key_prefix_.size() + req.pred.size() + req.source.size() +
+              req.target.size() + 16);
+  key += key_prefix_;
   key += req.pred;
   key += '\x1f';
   key += req.source;
@@ -731,7 +781,7 @@ std::string QueryService::RequestKey(const QueryRequest& req) const {
 
 bool QueryService::TryServeFromCache(AsyncQueryState& q) {
   if (answer_cache_ == nullptr) return false;
-  auto ans = answer_cache_->Lookup(q.cache_key, *q.batch->db);
+  auto ans = answer_cache_->Lookup(q.key, *q.batch->db);
   if (ans == nullptr) return false;
   QueryResponse& r = q.response;
   r.tuples = ans->tuples;
@@ -752,7 +802,7 @@ bool QueryService::TryServeFromCache(AsyncQueryState& q) {
   ReplayToSink(q);
   CompleteQuery(q);
   // Safe to read the closed span here: the hit completed on the caller
-  // thread before any future was handed out, so no waiter can move the
+  // thread before the submission call returned, so no waiter can move the
   // response yet.
   answer_cache_->ObserveHitLatency(r.trace.total_ms);
   return true;
@@ -788,84 +838,102 @@ void QueryService::MaybeCacheInsert(AsyncQueryState& q) {
   ans->stats = r.stats;
   ans->fetches = r.fetches;
   ans->result_hash = cache::AnswerCache::HashTuples(r.tuples);
-  answer_cache_->Insert(q.cache_key, std::move(deps), std::move(ans),
+  answer_cache_->Insert(q.key, std::move(deps), std::move(ans),
                         db.epoch());
 }
 
-void QueryService::FanOutOne(size_t worker_id, const AsyncQueryState& leader,
-                             AsyncQueryState& w) {
-  QueryResponse& r = w.response;
-  r.epoch = w.batch->db->epoch();
-  // The recipient's own token rules first — a replayed answer must not
-  // resurrect a request its caller already cancelled or deadlined.
-  if (w.token.cancelled()) {
-    r.cancelled = true;
-    r.status = Status::Cancelled("request cancelled before evaluation");
-    return;
+bool QueryService::Join(const std::shared_ptr<AsyncQueryState>& state,
+                        bool blocking) {
+  AsyncQueryState& q = *state;
+  const uint64_t epoch = q.batch->db->epoch();
+  std::lock_guard<std::mutex> lock(flights_->mu);
+  auto it = flights_->flights.find(q.key);
+  if (it == flights_->flights.end()) {
+    if (flights_->spare.empty()) {
+      it = flights_->flights.try_emplace(q.key).first;
+    } else {
+      FlightTable::Map::node_type node = std::move(flights_->spare.back());
+      flights_->spare.pop_back();
+      node.key() = q.key;
+      it = flights_->flights.insert(std::move(node)).position;
+    }
+    FlightTable::Flight& f = it->second;
+    f.epoch = epoch;
+    f.deadline = q.token.deadline();
+    f.async = !blocking;
+    q.flight_leader = true;
+    return false;
   }
-  if (w.token.Expired()) {
-    r.timed_out = true;
-    r.status = Status::DeadlineExceeded(
-        "request deadline expired before evaluation");
-    return;
+  FlightTable::Flight& f = it->second;
+  // The join rules. Breaking any of them leaves the request standalone:
+  // it evaluates on its own and nobody waits on it.
+  //  - Another epoch's answer would be wrong for this one.
+  //  - A waiter is answered only when its leader finishes, so a leader
+  //    allowed to run past this request's deadline could make it late.
+  //  - An async leader can still be shed, and a shed flight re-dispatches
+  //    its waiters through the shedding path, which a blocking caller's
+  //    never-shed contract forbids.
+  if (f.epoch != epoch || f.deadline > q.token.deadline() ||
+      (blocking && f.async)) {
+    return false;
   }
-  if (leader.response.status.ok()) {
-    const QueryResponse& lr = leader.response;
-    r.tuples = lr.tuples;
-    r.stats = lr.stats;
-    r.fetches = lr.fetches;
-    r.trace.pred = lr.trace.pred;
-    r.trace.source = lr.trace.source;
-    r.trace.collapsed = true;
-    w.replayed = true;
-    ReplayToSink(w);
-    return;
+  f.waiters.push_back(state);
+  if (obs_->enabled) obs_->collapsed->Inc();
+  return true;
+}
+
+std::vector<std::shared_ptr<AsyncQueryState>> QueryService::EndFlight(
+    AsyncQueryState& q) {
+  if (!q.flight_leader) return {};
+  q.flight_leader = false;
+  std::lock_guard<std::mutex> lock(flights_->mu);
+  FlightTable::Map::node_type node = flights_->flights.extract(q.key);
+  BINCHAIN_CHECK(!node.empty());
+  std::vector<std::shared_ptr<AsyncQueryState>> waiters =
+      std::move(node.mapped().waiters);
+  if (flights_->spare.size() < FlightTable::kMaxSpare) {
+    flights_->spare.push_back(std::move(node));
   }
-  // The leader failed (cancelled, deadlined, errored) — its failure is its
-  // own, not this request's. Evaluate for real, inline on this worker.
-  RunOne(worker_id, w);
+  return waiters;
 }
 
 void QueryService::FinishEval(size_t worker_id, AsyncQueryState& q) {
+  // Insert before the flight ends, so a request arriving after it hits the
+  // cache instead of leading a redundant evaluation.
   MaybeCacheInsert(q);
-  // In-batch dedup fan-out. Take the follower list once, under the batch
-  // lock (the submitting thread may still be attaching), then replay
-  // outside it; from here on late duplicates submit themselves.
-  std::vector<std::shared_ptr<AsyncQueryState>> followers;
-  {
-    std::lock_guard<std::mutex> lock(q.batch->mu);
-    q.fanout_started = true;
-    followers.swap(q.followers);
-  }
-  for (auto& f : followers) {
-    if (answer_cache_ != nullptr) answer_cache_->NoteCollapsed();
-    FanOutOne(worker_id, q, *f);
-    MaybeCacheInsert(*f);  // no-op unless the leader failed and f ran
-    CompleteQuery(*f);
-  }
-  // Single-flight fan-out: waiters parked by other submissions while this
-  // evaluation was in flight. A waiter can itself be some batch's dedup
-  // leader, so it gets the full FinishEval treatment (recursion is bounded:
-  // waiters never lead flights, and followers never have followers).
-  if (q.flight_leader) {
-    q.flight_leader = false;
-    auto waiters =
-        answer_cache_->FinishFlight(q.cache_key, q.batch->db->epoch());
-    for (auto& vw : waiters) {
-      auto w = std::static_pointer_cast<AsyncQueryState>(vw);
-      FanOutOne(worker_id, q, *w);
-      FinishEval(worker_id, *w);
-      CompleteQuery(*w);
+  // A failed leader's failure is its own (its deadline, its cancel): the
+  // first waiter that completes OK is evaluated for real, inline here, and
+  // becomes the source the rest replay — one re-evaluation, however many
+  // waiters there are. It completes last, after everyone read its answer.
+  const AsyncQueryState* source = q.response.status.ok() ? &q : nullptr;
+  std::shared_ptr<AsyncQueryState> reevaluated;
+  for (std::shared_ptr<AsyncQueryState>& w : EndFlight(q)) {
+    if (source != nullptr) {
+      Replay(*source, *w);
+    } else {
+      RunOne(worker_id, *w);
+      MaybeCacheInsert(*w);
+      if (w->response.status.ok()) {
+        source = w.get();
+        reevaluated = std::move(w);
+        continue;
+      }
     }
+    CompleteQuery(*w);
   }
+  if (reevaluated != nullptr) CompleteQuery(*reevaluated);
+}
+
+void QueryService::Serve(size_t worker_id, AsyncQueryState& q) {
+  RunOne(worker_id, q);
+  FinishEval(worker_id, q);
+  CompleteQuery(q);
 }
 
 void QueryService::DispatchOrShed(std::shared_ptr<AsyncQueryState> state) {
   ThreadPool::Task task = [this, state](size_t worker_id) {
     if (obs_->enabled) obs_->queue_depth->Add(-1);  // claimed
-    RunOne(worker_id, *state);
-    FinishEval(worker_id, *state);
-    CompleteQuery(*state);
+    Serve(worker_id, *state);
   };
   // Increment-before-submit so a worker's claim-time decrement (which can
   // run the instant TrySubmit accepts) never observes the gauge low.
@@ -880,27 +948,10 @@ void QueryService::DispatchOrShed(std::shared_ptr<AsyncQueryState> state) {
       Status::Overloaded("submission queue at high-water mark (" +
                          std::to_string(queue_depth_) + " pending)");
   q.response.epoch = q.batch->db->epoch();
-  // Dedup followers share the verdict (pre-cache behavior: each duplicate
-  // would have hit the same full queue); flight waiters were admitted
-  // independently, so the dissolved flight re-dispatches each on its own.
-  std::vector<std::shared_ptr<AsyncQueryState>> followers;
-  {
-    std::lock_guard<std::mutex> lock(q.batch->mu);
-    q.fanout_started = true;
-    followers.swap(q.followers);
-  }
-  for (auto& f : followers) {
-    f->response.status = q.response.status;
-    f->response.epoch = q.response.epoch;
-    CompleteQuery(*f);
-  }
-  if (q.flight_leader) {
-    q.flight_leader = false;
-    auto waiters =
-        answer_cache_->FinishFlight(q.cache_key, q.batch->db->epoch());
-    for (auto& vw : waiters) {
-      DispatchOrShed(std::static_pointer_cast<AsyncQueryState>(vw));
-    }
+  // The waiters were admitted on their own: the dissolved flight
+  // re-dispatches each one (it may be shed in turn), never drops it.
+  for (std::shared_ptr<AsyncQueryState>& w : EndFlight(q)) {
+    DispatchOrShed(std::move(w));
   }
   CompleteQuery(q);
 }
@@ -957,10 +1008,10 @@ void QueryService::CompleteQuery(AsyncQueryState& q) {
       o->answers->Inc(t.answers);
       o->latency_ms->Observe(t.total_ms);
       o->queue_wait_ms->Observe(t.queue_wait_ms);
-      // Replayed responses (cache hits, single-flight waiters, dedup
-      // followers) carry the original evaluation's effort counters so batch
-      // totals stay byte-identical — but that work already hit the engine_*
-      // family when it actually ran; folding it again would double-count.
+      // Replayed responses (cache hits, single-flight waiters) carry the
+      // original evaluation's effort counters so batch totals stay
+      // byte-identical — but that work already hit the engine_* family
+      // when it actually ran; folding it again would double-count.
       if (!q.replayed) {
         o->engine_iterations->Inc(t.iterations);
         o->engine_nodes->Inc(r.stats.nodes);
@@ -1047,6 +1098,40 @@ std::shared_ptr<BatchShared> QueryService::MakeBatchShared(size_t queries) {
   return shared;
 }
 
+std::vector<std::shared_ptr<AsyncQueryState>> QueryService::Admit(
+    const std::vector<std::shared_ptr<AsyncQueryState>>& states,
+    bool blocking) {
+  std::vector<std::shared_ptr<AsyncQueryState>> leaders;
+  leaders.reserve(states.size());
+  const Status admit = AdmissionStatus();
+  for (const std::shared_ptr<AsyncQueryState>& state : states) {
+    AsyncQueryState& q = *state;
+    q.response.trace.query_id =
+        obs_->next_query_id.fetch_add(1, std::memory_order_relaxed);
+    // The deadline clock starts at submission: time spent queued (or
+    // parked on a flight) counts against the request's budget, so queue
+    // delay cannot launder an expired request into a fresh one.
+    if (q.request.options.deadline_ms > 0) {
+      q.token.SetDeadlineAfter(q.request.options.deadline_ms);
+    }
+    if (!admit.ok()) {
+      // Admission precedes every cache and flight path: a recovering
+      // service answers kUnavailable even for answers it has cached.
+      q.response.status = admit;
+      q.response.epoch = q.batch->db->epoch();
+      CompleteQuery(q);
+      continue;
+    }
+    q.key = RequestKey(q.request);
+    // Cache fast path: a hit completes on this thread, right here — no
+    // queue traffic, no worker handoff.
+    if (TryServeFromCache(q)) continue;
+    if (Join(state, blocking)) continue;
+    leaders.push_back(state);
+  }
+  return leaders;
+}
+
 BatchHandle QueryService::SubmitShared(std::vector<QueryRequest> batch,
                                        BatchCallback on_complete) {
   BatchHandle handle;
@@ -1061,70 +1146,20 @@ BatchHandle QueryService::SubmitShared(std::vector<QueryRequest> batch,
     return handle;
   }
 
+  std::vector<std::shared_ptr<AsyncQueryState>> states;
+  states.reserve(batch.size());
   handle.futures_.reserve(batch.size());
-  const Status admit = AdmissionStatus();
-  // Keys are needed for the cache and for in-batch dedup; with the cache
-  // off and a single-query batch neither applies and key-building is
-  // skipped entirely (the pre-cache hot path).
-  const bool want_keys = answer_cache_ != nullptr || batch.size() > 1;
-  // In-batch dedup: the first submission of each distinct key evaluates,
-  // identical later ones attach to it as followers and replay its answer
-  // (Fig8-style overlap batches stop paying per-duplicate traversals).
-  std::unordered_map<std::string, std::shared_ptr<AsyncQueryState>> leaders;
   for (QueryRequest& req : batch) {
     auto state = std::make_shared<AsyncQueryState>();
     state->batch = shared;
-    state->response.trace.query_id =
-        obs_->next_query_id.fetch_add(1, std::memory_order_relaxed);
-    // The deadline clock starts at submission: time spent queued counts
-    // against the request's budget, so queue delay cannot launder an
-    // expired request into a fresh one.
-    if (req.options.deadline_ms > 0) {
-      state->token.SetDeadlineAfter(req.options.deadline_ms);
-    }
     state->request = std::move(req);
     handle.futures_.push_back(QueryFuture(state));
-    if (!admit.ok()) {
-      // Admission precedes every cache path: a recovering service answers
-      // kUnavailable even for answers it has cached.
-      state->response.status = admit;
-      state->response.epoch = shared->db->epoch();
-      CompleteQuery(*state);
-      continue;
-    }
-    if (want_keys) state->cache_key = RequestKey(state->request);
-    // Cache fast path: a hit completes on this thread, right here — no
-    // queue traffic, no worker handoff.
-    if (TryServeFromCache(*state)) continue;
-    if (batch.size() > 1) {
-      auto [it, fresh] = leaders.try_emplace(state->cache_key, state);
-      if (!fresh) {
-        bool attached = false;
-        {
-          std::lock_guard<std::mutex> lock(shared->mu);
-          if (!it->second->fanout_started) {
-            it->second->followers.push_back(state);
-            attached = true;
-          }
-        }
-        if (attached) continue;
-        // The leader already finished (workers are fast, batches are
-        // long): this duplicate just submits itself.
-      }
-    }
-    // Single-flight: concurrent identical misses across batches collapse
-    // onto one in-flight evaluation. Joined waiters are fanned out by the
-    // leader's FinishEval; an epoch-mismatched flight leaves this request
-    // standalone (a cached answer must never cross epochs).
-    if (answer_cache_ != nullptr) {
-      const auto decision = answer_cache_->JoinFlight(
-          state->cache_key, shared->db->epoch(), state);
-      if (decision == cache::AnswerCache::FlightDecision::kJoined) continue;
-      if (decision == cache::AnswerCache::FlightDecision::kLeader) {
-        state->flight_leader = true;
-      }
-    }
-    DispatchOrShed(std::move(state));
+    states.push_back(std::move(state));
+  }
+  // One queued task per leader, shed past the high-water mark.
+  for (std::shared_ptr<AsyncQueryState>& leader :
+       Admit(states, /*blocking=*/false)) {
+    DispatchOrShed(std::move(leader));
   }
   return handle;
 }
@@ -1144,6 +1179,9 @@ BatchHandle QueryService::SubmitBatch(std::vector<QueryRequest> batch,
 }
 
 QueryResponse QueryService::Eval(const QueryRequest& request) {
+  // A copy, not a move: the moved-out tuple buffer was allocated on a
+  // worker, and a caller keeping many responses then pins worker memory
+  // (measured: several MiB of peak RSS on the same warm pass).
   return EvalBatch({request})[0];
 }
 
@@ -1152,90 +1190,41 @@ std::vector<QueryResponse> QueryService::EvalBatch(
   const size_t n = batch.size();
   auto shared = MakeBatchShared(n);
   shared->notify_each = false;  // no per-query waiters on this path
+  // One state per query in a single allocation, handed around as aliasing
+  // shared_ptrs (a flight may park a state of this batch as a waiter).
+  std::shared_ptr<AsyncQueryState[]> array(new AsyncQueryState[n]);
+  std::vector<std::shared_ptr<AsyncQueryState>> states;
+  states.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    array[i].batch = shared;
+    array[i].request = batch[i];
+    states.emplace_back(array, &array[i]);
+  }
+  // Claim-cursor runners over the leaders instead of one queued closure
+  // per query: at most one task per worker, and workers claim leader
+  // indexes from the shared cursor (self-balancing, FIFO). Per-query
+  // heap/queue traffic stays off this hot path; backpressure comes from
+  // SubmitBlocking when other batches own the queue.
+  auto leaders =
+      std::make_shared<std::vector<std::shared_ptr<AsyncQueryState>>>(
+          Admit(states, /*blocking=*/true));
+  const size_t runners = std::min(workers_.size(), leaders->size());
+  for (size_t r = 0; r < runners; ++r) {
+    pool_->SubmitBlocking([this, shared, leaders](size_t worker_id) {
+      for (size_t i = shared->next.fetch_add(1, std::memory_order_relaxed);
+           i < leaders->size();
+           i = shared->next.fetch_add(1, std::memory_order_relaxed)) {
+        Serve(worker_id, *(*leaders)[i]);
+      }
+    });
+  }
   std::vector<QueryResponse> responses(n);
-  if (n > 0) {
-    // One state per query in a single allocation. The array owner is a
-    // shared_ptr for two reasons: dedup followers are handed to their
-    // leader as aliasing shared_ptrs into this array (still zero extra
-    // allocations), and runners capture the owner so a late claim-loop
-    // pass over pre-completed (skipped) indexes can never outlive the
-    // states. The cv wait below still synchronizes with the last
-    // CompleteQuery before responses are moved out.
-    std::shared_ptr<AsyncQueryState[]> states(new AsyncQueryState[n]);
-    for (size_t i = 0; i < n; ++i) {
-      states[i].batch = shared;
-      states[i].response.trace.query_id =
-          obs_->next_query_id.fetch_add(1, std::memory_order_relaxed);
-      if (batch[i].options.deadline_ms > 0) {
-        states[i].token.SetDeadlineAfter(batch[i].options.deadline_ms);
-      }
-      states[i].request = batch[i];
-    }
-    if (const Status admit = AdmissionStatus(); !admit.ok()) {
-      for (size_t i = 0; i < n; ++i) {
-        states[i].response.status = admit;
-        states[i].response.epoch = shared->db->epoch();
-        CompleteQuery(states[i]);
-      }
-    } else {
-      // Cache lookups and in-batch dedup, resolved up front on the calling
-      // thread (runners have not been launched, so no locking subtleties):
-      // hits complete immediately, duplicates attach to their leader, and
-      // both are marked for the claim loop to pass over. No single-flight
-      // on this path — blocking batches pay no per-query queue traffic, so
-      // the flight table's cross-batch rendezvous is not worth its lock
-      // here (documented in the cache header).
-      size_t live = n;
-      if (answer_cache_ != nullptr || n > 1) {
-        std::unordered_map<std::string, size_t> leaders;
-        for (size_t i = 0; i < n; ++i) {
-          states[i].cache_key = RequestKey(states[i].request);
-          if (TryServeFromCache(states[i])) {
-            states[i].skip = true;
-            --live;
-            continue;
-          }
-          if (n > 1) {
-            auto [it, fresh] = leaders.try_emplace(states[i].cache_key, i);
-            if (!fresh) {
-              states[it->second].followers.push_back(
-                  std::shared_ptr<AsyncQueryState>(states, &states[i]));
-              states[i].skip = true;
-              --live;
-            }
-          }
-        }
-      }
-      // Claim-cursor runners instead of one queued closure per query: the
-      // blocking path enqueues at most one task per worker, and workers
-      // claim batch indexes from the shared cursor (self-balancing, FIFO).
-      // Per-query heap/queue traffic stays off this hot path; backpressure
-      // comes from SubmitBlocking when other batches own the queue.
-      size_t runners = std::min(workers_.size(), live);
-      for (size_t r = 0; r < runners; ++r) {
-        pool_->SubmitBlocking([this, shared, states, n](size_t worker_id) {
-          AsyncQueryState* raw = states.get();
-          for (size_t i = shared->next.fetch_add(1, std::memory_order_relaxed);
-               i < n;
-               i = shared->next.fetch_add(1, std::memory_order_relaxed)) {
-            if (raw[i].skip) continue;
-            RunOne(worker_id, raw[i]);
-            FinishEval(worker_id, raw[i]);
-            CompleteQuery(raw[i]);
-          }
-        });
-      }
-      std::unique_lock<std::mutex> lock(shared->mu);
-      shared->cv.wait(lock, [&] { return shared->remaining == 0; });
-    }
-    for (size_t i = 0; i < n; ++i) {
-      responses[i] = std::move(states[i].response);
-    }
+  {
+    std::unique_lock<std::mutex> lock(shared->mu);
+    shared->cv.wait(lock, [&] { return shared->remaining == 0; });
+    if (stats != nullptr) *stats = shared->stats;
   }
-  if (stats != nullptr) {
-    std::lock_guard<std::mutex> lock(shared->mu);
-    *stats = shared->stats;
-  }
+  for (size_t i = 0; i < n; ++i) responses[i] = std::move(array[i].response);
   return responses;
 }
 

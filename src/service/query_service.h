@@ -14,13 +14,24 @@
 // QueryFuture; SubmitBatch() enqueues a whole batch and returns a
 // BatchHandle with per-query futures plus an optional completion callback
 // that fires (on the worker that finishes last) with the batch aggregates.
-// The queue has a configurable high-water mark: submissions past it are
-// answered immediately with StatusCode::kOverloaded instead of queueing
-// without bound. The blocking Eval/EvalBatch calls share the same
-// lifecycle (states, tokens, aggregates) but dispatch as claim-cursor
-// runner tasks — at most one per worker — with backpressure (waiting for
-// queue room) rather than shedding, so batch clients keep their
-// all-queries-answered contract and pay no per-query queue traffic.
+// The blocking Eval/EvalBatch calls share the same lifecycle (states,
+// tokens, aggregates).
+//
+// Every submission path runs one front half on the caller's thread, for
+// the whole batch before any worker sees it: the admission gate, the
+// request key, the answer-cache lookup, and the single-flight join. An
+// identical request already in flight on the same epoch is joined instead
+// of evaluated (the QSQ rule that each distinct subquery is answered once
+// and shared), so duplicates collapse exactly, inside one batch and
+// across batches, with or without the cache. Only flight leaders (and the
+// few requests the join rules leave standalone) are dispatched, in one of
+// two modes. Async calls enqueue one task per leader; past the queue's
+// high-water mark a leader is answered immediately with
+// StatusCode::kOverloaded instead of queueing without bound. Blocking
+// calls enqueue claim-cursor runner tasks — at most one per worker —
+// with backpressure (waiting for queue room) rather than shedding, so
+// batch clients keep their all-queries-answered contract and pay no
+// per-query queue traffic.
 //
 // Every request carries a CancelToken for its whole lifetime: a deadline
 // armed at submission, and a flag flipped by QueryFuture::Cancel() (or by
@@ -147,7 +158,7 @@ struct QueryRequest {
   /// this sink *while the evaluation runs* (on the worker thread), shaped
   /// per the binding pattern; QueryResponse::tuples still carries the
   /// complete sorted set at the end. Replayed answers (cache hits,
-  /// single-flight waiters, dedup followers) arrive as one chunk.
+  /// single-flight waiters) arrive as one chunk.
   /// Borrowed: must stay alive until the response is observable (the
   /// future completed / the blocking call returned). Never part of the
   /// request's cache identity.
@@ -270,13 +281,12 @@ struct QueryServiceOptions {
   std::string slow_query_log_path;
   double slow_query_log_min_ms = 0;
   uint64_t slow_query_log_sample = 1;
-  /// Answer-cache byte budget; 0 (the default) disables the cache
-  /// entirely — no lookups, no single-flight table, behavior identical to
-  /// pre-cache builds. When set, exact-match repeats are served on the
-  /// caller thread (bypassing the submission queue), concurrent identical
-  /// misses collapse onto one evaluation, and publishes invalidate only
-  /// the entries whose supporting relations changed (see
-  /// cache::AnswerCache).
+  /// Answer-cache byte budget; 0 (the default) retains no answers. When
+  /// set, exact-match repeats are served on the caller thread (bypassing
+  /// the submission queue), and publishes invalidate only the entries
+  /// whose supporting relations changed (see cache::AnswerCache).
+  /// Concurrent identical requests collapse onto one evaluation either
+  /// way: single-flight is always on.
   size_t answer_cache_bytes = 0;
 };
 
@@ -284,6 +294,7 @@ class QueryService;
 struct AsyncQueryState;  // one submitted query (opaque; query_service.cc)
 struct BatchShared;      // per-batch aggregates + completion (opaque)
 struct ServiceObs;       // cached registry instruments (opaque)
+struct FlightTable;      // in-flight evaluations by request key (opaque)
 
 /// Handle to one submitted query. Move-only; the result must be claimed
 /// with Take() (or the future dropped, which *cancels* the query — an
@@ -460,11 +471,11 @@ class QueryService {
   QueryResponse Eval(const QueryRequest& request);
 
   /// Evaluates a batch, blocking; the response vector is indexed like
-  /// `batch`. Dispatched as claim-cursor runner tasks (at most one per
-  /// worker) rather than per-query submissions, so large blocking batches
-  /// pay no per-query queue traffic and never shed; deadlines and
-  /// EvalStats semantics are identical to the async path. Safe to call
-  /// from multiple client threads — batches queue FIFO.
+  /// `batch`. Flight leaders are dispatched as claim-cursor runner tasks
+  /// (at most one per worker) rather than per-query submissions, so large
+  /// blocking batches pay no per-query queue traffic and never shed;
+  /// deadlines and EvalStats semantics are identical to the async path.
+  /// Safe to call from multiple client threads — batches queue FIFO.
   std::vector<QueryResponse> EvalBatch(const std::vector<QueryRequest>& batch,
                                        BatchStats* stats = nullptr);
 
@@ -493,13 +504,42 @@ class QueryService {
   /// pin), with the epoch acquired now.
   std::shared_ptr<BatchShared> MakeBatchShared(size_t queries);
 
-  /// Async submission tail: wraps `batch` into future states under one
-  /// BatchHandle, one queued task per query, shedding with kOverloaded
-  /// past the high-water mark. (The blocking EvalBatch does not go through
-  /// here — it enqueues claim-cursor runner tasks instead, keeping
-  /// per-query queue/allocation traffic off the batch hot path.)
+  /// The front half every submission path shares, run on the caller
+  /// thread for the whole batch before anything is dispatched: per
+  /// request, the admission gate, RequestKey, the cache lookup, and the
+  /// flight join (Join). Refused requests and cache hits complete here,
+  /// joiners park on their flight; returns the states a worker must
+  /// evaluate — flight leaders and standalone requests — in batch order.
+  /// Because the whole batch joins before any leader is dispatched, a
+  /// leader cannot finish before its in-batch duplicates joined it.
+  /// `blocking` marks Eval/EvalBatch callers.
+  std::vector<std::shared_ptr<AsyncQueryState>> Admit(
+      const std::vector<std::shared_ptr<AsyncQueryState>>& states,
+      bool blocking);
+
+  /// Async submission: wraps `batch` into future states under one
+  /// BatchHandle, runs the front half, and dispatches each leader as its
+  /// own queued task (DispatchOrShed).
   BatchHandle SubmitShared(std::vector<QueryRequest> batch,
                            BatchCallback on_complete);
+
+  /// Single-flight join for an admitted cache miss. With no flight at its
+  /// key the request leads a new one (flight_leader set) and returns
+  /// false. Otherwise it joins as a waiter and returns true, unless a join
+  /// rule leaves it standalone (returns false, no flight bookkeeping):
+  /// the flight is for another epoch, the leader's deadline is later than
+  /// the joiner's (no deadline counts as latest), or a blocking joiner
+  /// meets an async leader.
+  bool Join(const std::shared_ptr<AsyncQueryState>& state, bool blocking);
+
+  /// Ends the flight `q` leads and returns its parked waiters; empty when
+  /// `q` leads none. Every leader exit path — evaluated or shed — calls
+  /// it exactly once, or the waiters are never answered.
+  std::vector<std::shared_ptr<AsyncQueryState>> EndFlight(AsyncQueryState& q);
+
+  /// The worker half of one dispatched query: RunOne, FinishEval,
+  /// CompleteQuery.
+  void Serve(size_t worker_id, AsyncQueryState& q);
 
   /// Evaluates one claimed query on worker `worker_id`'s context, writing
   /// the response into its state.
@@ -513,14 +553,15 @@ class QueryService {
   /// answer set (pred, source, target, diagonal, and the QueryOptions
   /// value fields). Deadline, sink, and cancel state are deliberately
   /// excluded — they select *when* a request fails or *how* its answer is
-  /// delivered, never *what* it answers.
+  /// delivered, never *what* it answers. Keys both the cache and the
+  /// flight table.
   std::string RequestKey(const QueryRequest& request) const;
 
-  /// Cache fast path, called on the submission thread after admission
-  /// passed and q.batch is bound. On a hit: fills the response from the
-  /// cached answer (trace.cache_hit set), completes the query on the
-  /// caller thread, and returns true — the request never touches the
-  /// queue. Returns false on miss or when the cache is off.
+  /// Cache fast path, called by the front half after admission passed.
+  /// On a hit: fills the response from the cached answer (trace.cache_hit
+  /// set), completes the query on the caller thread, and returns true —
+  /// the request never touches the queue. Returns false on miss or when
+  /// the cache is off.
   bool TryServeFromCache(AsyncQueryState& q);
 
   /// Inserts q's answer into the cache when it is cacheable: a complete,
@@ -530,25 +571,16 @@ class QueryService {
   /// batch's epoch.
   void MaybeCacheInsert(AsyncQueryState& q);
 
-  /// Post-evaluation fan-out seam, run on the worker right after RunOne
-  /// (before CompleteQuery): cache insert, then replay the answer to this
-  /// query's in-batch dedup followers and single-flight waiters. Each
-  /// recipient's own token is honored (cancelled/expired recipients get
-  /// their own failure), and if the leader itself failed the recipients
-  /// are evaluated for real, inline on this worker.
+  /// Post-evaluation seam, run on the worker right after RunOne (before
+  /// CompleteQuery): cache insert, then end the flight and answer its
+  /// waiters. An OK leader's answer is replayed to each; if the leader
+  /// failed, the first waiter that completes OK is evaluated inline on
+  /// this worker and the rest replay its answer.
   void FinishEval(size_t worker_id, AsyncQueryState& q);
 
-  /// One fan-out recipient: replay `leader`'s answer into `w`
-  /// (trace.collapsed), or evaluate `w` inline when its token tripped is
-  /// moot — token failures answer without work, leader failures evaluate.
-  void FanOutOne(size_t worker_id, const AsyncQueryState& leader,
-                 AsyncQueryState& w);
-
-  /// Async dispatch tail shared by SubmitShared and the flight-dissolve
-  /// path: enqueues the evaluate/fan-out/complete task, or sheds with
-  /// kOverloaded past the high-water mark — draining the query's dedup
-  /// followers and re-dispatching its flight waiters so nobody waits on a
-  /// leader that never ran.
+  /// Async dispatch of one leader: enqueues its Serve task, or sheds it
+  /// with kOverloaded past the high-water mark — re-dispatching its flight
+  /// waiters one by one so nobody waits on a leader that never ran.
   void DispatchOrShed(std::shared_ptr<AsyncQueryState> state);
 
   /// Admission gate shared by every submission path: init_status_ when
@@ -578,11 +610,14 @@ class QueryService {
   /// Exact-match answer cache (nullptr when disabled). shared_ptr because
   /// the snapshot manager's publish listener captures it — a publish
   /// racing service teardown sweeps a still-alive cache. Declared before
-  /// pool_ so workers (who insert and fan out) join first.
+  /// pool_ so workers (who insert) join first.
   std::shared_ptr<cache::AnswerCache> answer_cache_;
+  /// The single-flight table; declared before pool_ so workers (who end
+  /// flights) join first.
+  std::unique_ptr<FlightTable> flights_;
   /// RequestKey prefix: the plan fingerprint as 16 hex chars + separator,
   /// precomputed once in Init.
-  std::string cache_key_prefix_;
+  std::string key_prefix_;
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -192,6 +192,20 @@ Result<TransformedQueryResult> EvaluateViaBinarization(
     if (!v->status().ok()) return v->status();
   }
 
+  // The adornment frees every variable position independently, so a query
+  // repeating a variable, p(X, X), is evaluated as p(X, Y): keep only the
+  // tuples that agree wherever the query repeats a variable.
+  auto agrees = [&query](const Tuple& t) {
+    for (size_t i = 0; i < query.args.size(); ++i) {
+      for (size_t j = i + 1; j < query.args.size(); ++j) {
+        if (query.args[i].IsVar() && query.args[i] == query.args[j] &&
+            t[i] != t[j]) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
   for (TermId y : answers.value()) {
     const Tuple& free_vals = views.pool().Get(y);
     BINCHAIN_CHECK(free_vals.size() == bp.free_positions.size());
@@ -202,7 +216,7 @@ Result<TransformedQueryResult> EvaluateViaBinarization(
     for (size_t i = 0; i < bp.free_positions.size(); ++i) {
       full[bp.free_positions[i]] = free_vals[i];
     }
-    result.tuples.push_back(std::move(full));
+    if (agrees(full)) result.tuples.push_back(std::move(full));
   }
   std::sort(result.tuples.begin(), result.tuples.end());
   result.tuples.erase(

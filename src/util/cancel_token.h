@@ -52,6 +52,12 @@ class CancelToken {
 
   bool has_deadline() const { return has_deadline_; }
 
+  /// The armed deadline, or Clock::time_point::max() when none is armed:
+  /// "no deadline" orders as the latest deadline of all.
+  Clock::time_point deadline() const {
+    return has_deadline_ ? deadline_ : Clock::time_point::max();
+  }
+
   bool Expired() const {
     return has_deadline_ && Clock::now() >= deadline_;
   }

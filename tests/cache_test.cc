@@ -249,42 +249,53 @@ TEST(AnswerCacheTest, DeadMutationsMismatchInvalidatesDespitePointerMatch) {
 
 // Concurrent identical misses must collapse onto one evaluation: one
 // leader runs, every other submission parks on the flight and replays the
-// leader's response. Run under TSan in CI.
+// leader's response. Single-flight is the service's, so it collapses with
+// the cache off too. Run under TSan in CI.
 TEST(AnswerCacheTest, SingleFlightCollapsesConcurrentIdenticalSubmits) {
-  auto genesis = std::make_unique<Database>();
-  // Large enough that later submissions land while the leader is still
-  // evaluating (Fig 7(b) is the Theta(n^2) same-generation sample).
-  std::string source = workloads::Fig7b(*genesis, 192);
-  Program program =
-      ParseProgram(workloads::SgProgramText(), genesis->symbols()).take();
-  SnapshotManager manager(std::move(genesis));
-  QueryService::Options opts;
-  opts.num_threads = 4;
-  opts.answer_cache_bytes = 1 << 20;
-  QueryService service(&manager, program, opts);
-  ASSERT_TRUE(service.status().ok()) << service.status().message();
+  for (const size_t cache_bytes : {size_t{0}, size_t{1} << 20}) {
+    SCOPED_TRACE(cache_bytes == 0 ? "cache off" : "cache on");
+    auto genesis = std::make_unique<Database>();
+    // Large enough that later submissions land while the leader is still
+    // evaluating (Fig 7(b) is the Theta(n^2) same-generation sample).
+    std::string source = workloads::Fig7b(*genesis, 192);
+    Program program =
+        ParseProgram(workloads::SgProgramText(), genesis->symbols()).take();
+    SnapshotManager manager(std::move(genesis));
+    QueryService::Options opts;
+    opts.num_threads = 4;
+    opts.answer_cache_bytes = cache_bytes;
+    QueryService service(&manager, program, opts);
+    ASSERT_TRUE(service.status().ok()) << service.status().message();
 
-  constexpr size_t kClients = 8;
-  QueryRequest req = Req("sg", source);
-  std::vector<QueryFuture> futures;
-  futures.reserve(kClients);
-  for (size_t i = 0; i < kClients; ++i) futures.push_back(service.Submit(req));
+    constexpr size_t kClients = 8;
+    QueryRequest req = Req("sg", source);
+    std::vector<QueryFuture> futures;
+    futures.reserve(kClients);
+    for (size_t i = 0; i < kClients; ++i) {
+      futures.push_back(service.Submit(req));
+    }
 
-  std::vector<QueryResponse> responses;
-  for (QueryFuture& f : futures) responses.push_back(f.Take());
+    std::vector<QueryResponse> responses;
+    for (QueryFuture& f : futures) responses.push_back(f.Take());
 
-  const uint64_t expect_hash = AnswerCache::HashTuples(responses[0].tuples);
-  for (const QueryResponse& r : responses) {
-    ASSERT_TRUE(r.status.ok()) << r.status.message();
-    EXPECT_EQ(AnswerCache::HashTuples(r.tuples), expect_hash);
-    EXPECT_EQ(r.tuples, responses[0].tuples);
+    const uint64_t expect_hash = AnswerCache::HashTuples(responses[0].tuples);
+    size_t collapsed = 0, hits = 0;
+    for (const QueryResponse& r : responses) {
+      ASSERT_TRUE(r.status.ok()) << r.status.message();
+      EXPECT_EQ(AnswerCache::HashTuples(r.tuples), expect_hash);
+      EXPECT_EQ(r.tuples, responses[0].tuples);
+      if (r.trace.collapsed) ++collapsed;
+      if (r.trace.cache_hit) ++hits;
+    }
+    // Every non-leader either joined the flight (collapsed) or, had the
+    // leader already finished, hit the freshly inserted entry.
+    EXPECT_GE(collapsed + hits, 1u);
+    EXPECT_GE(collapsed, 1u);
+    if (cache_bytes > 0) {
+      // The leader (+ at most a rare straggler).
+      EXPECT_LE(service.answer_cache()->Snapshot().inserts, 2u);
+    }
   }
-  CacheSnapshot snap = service.answer_cache()->Snapshot();
-  // Every non-leader either joined the flight (collapsed) or, had the
-  // leader already finished, hit the freshly inserted entry.
-  EXPECT_GE(snap.collapsed + snap.hits, 1u);
-  EXPECT_GE(snap.collapsed, 1u);
-  EXPECT_LE(snap.inserts, 2u);  // the leader (+ at most a rare straggler)
 }
 
 // The cache must be invisible in the results: a cache-on service and a
@@ -310,7 +321,7 @@ TEST(AnswerCacheTest, CacheOnAndOffAnswerIdenticallyAcrossPublishCycles) {
   ASSERT_TRUE(off.status().ok());
   ASSERT_TRUE(on.status().ok());
 
-  // Repeats inside the batch (in-batch dedup) and across epochs (cache
+  // Repeats inside the batch (single-flight) and across epochs (cache
   // hits and selective invalidation both get exercised).
   const std::vector<QueryRequest> batch = {
       Req("pup", "u1"), Req("pdown", "d1"), Req("pup", "u1"),

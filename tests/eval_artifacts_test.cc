@@ -295,9 +295,10 @@ TEST(EvalArtifactsTest, SharedClosureCacheAcrossConcurrentAllFreeQueries) {
 
   QueryService service(&db, program, {4});
   ASSERT_TRUE(service.status().ok()) << service.status().message();
-  // Concurrent *separate* submissions (a single batch of identical
-  // requests would be collapsed by in-batch dedup into one evaluation —
-  // the point here is 4 workers racing on the fill-once cell).
+  // Concurrent submissions under distinct keys (identical requests would
+  // be collapsed by single-flight into one evaluation — the point here is
+  // 4 workers racing on the fill-once cell). An iteration cap far beyond
+  // what the query needs changes the key, not the work.
   constexpr size_t kClients = 12;
   std::vector<QueryResponse> responses(kClients);
   {
@@ -305,7 +306,9 @@ TEST(EvalArtifactsTest, SharedClosureCacheAcrossConcurrentAllFreeQueries) {
     clients.reserve(kClients);
     for (size_t i = 0; i < kClients; ++i) {
       clients.emplace_back([&, i] {
-        responses[i] = service.Eval(QueryRequest{"path", "", "", {}});
+        QueryRequest req{"path", "", "", {}};
+        req.options.max_iterations = size_t{1} << (20 + i);
+        responses[i] = service.Eval(req);
       });
     }
     for (std::thread& t : clients) t.join();

@@ -428,15 +428,22 @@ TEST(TraceSpanTest, QueuedCancelledAndShedQueriesProduceCompleteSpans) {
   QueryService service(&db, program, {1, 1});
   ASSERT_TRUE(service.status().ok());
 
-  QueryRequest req{"sg", source, "", {}};
+  // Distinct iteration caps (all far beyond what the query needs) give the
+  // three requests distinct keys: identical ones would join the running
+  // query's flight instead of queueing.
+  auto req = [&source](size_t i) {
+    QueryRequest r{"sg", source, "", {}};
+    r.options.max_iterations = size_t{1} << (20 + i);
+    return r;
+  };
   // Park the single worker on a ~hundreds-of-ms query, fill the 1-deep
   // queue, then overflow it. Cancel promptly (well inside the running
   // query's lifetime) so both cancellations land before natural
   // completion.
-  QueryFuture running = service.Submit(req);
+  QueryFuture running = service.Submit(req(0));
   while (service.pending() != 0) std::this_thread::yield();
-  QueryFuture queued = service.Submit(req);
-  QueryFuture shed = service.Submit(req);
+  QueryFuture queued = service.Submit(req(1));
+  QueryFuture shed = service.Submit(req(2));
   queued.Cancel();
   running.Cancel();
 

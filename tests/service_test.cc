@@ -1,9 +1,10 @@
 // Concurrency semantics of the query service: identical result sets and
 // deterministic aggregate stats across thread counts, engine reuse across
 // repeated queries, freeze behavior of the storage snapshot, a stress run
-// with overlapping sources on the Figure-8 cyclic workload, and the async
+// with overlapping sources on the Figure-8 cyclic workload, the async
 // submission surface — futures, mid-flight deadline/cancellation unwinds,
-// queue-depth admission, and batch completion callbacks.
+// queue-depth admission, and batch completion callbacks — and the
+// single-flight rules that collapse identical requests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "cache/answer_cache.h"
 #include "datalog/parser.h"
 #include "service/query_service.h"
 #include "service/thread_pool.h"
@@ -360,6 +362,15 @@ struct LongQueryRig {
     req.options.deadline_ms = deadline_ms;
     return req;
   }
+  /// The same query under the i-th distinct key: an iteration cap far
+  /// beyond what the query needs changes the request key, not the work.
+  /// Identical concurrent requests would join one flight; tests about
+  /// queueing use these to keep every request its own evaluation.
+  QueryRequest DistinctRequest(size_t i) const {
+    QueryRequest req = Request();
+    req.options.max_iterations = size_t{1} << (20 + i);
+    return req;
+  }
 };
 
 TEST(AsyncServiceTest, MidFlightDeadlineInterruptsLongQuery) {
@@ -462,14 +473,15 @@ TEST(AsyncServiceTest, QueueOverloadShedsWithKOverloaded) {
   ASSERT_TRUE(service.status().ok());
 
   // Park the single worker on a long query and fill the 2-deep queue.
-  QueryFuture running = service.Submit(rig.Request());
+  // Distinct keys: identical requests would join the running flight.
+  QueryFuture running = service.Submit(rig.DistinctRequest(0));
   while (service.pending() != 0) std::this_thread::yield();
-  QueryFuture queued1 = service.Submit(rig.Request());
-  QueryFuture queued2 = service.Submit(rig.Request());
+  QueryFuture queued1 = service.Submit(rig.DistinctRequest(1));
+  QueryFuture queued2 = service.Submit(rig.DistinctRequest(2));
   EXPECT_EQ(service.pending(), 2u);
 
   // Past the high-water mark: shed immediately, future already completed.
-  QueryFuture shed = service.Submit(rig.Request());
+  QueryFuture shed = service.Submit(rig.DistinctRequest(3));
   EXPECT_TRUE(shed.Ready());
   QueryResponse shed_resp = shed.Take();
   EXPECT_EQ(shed_resp.status.code(), StatusCode::kOverloaded);
@@ -503,7 +515,7 @@ TEST(AsyncServiceTest, BatchAdmissionShedsOverflowAndReportsCallback) {
   BatchStats from_callback;
   // Distinct iteration caps (all far beyond what the query needs) give the
   // five requests distinct keys: identical requests would be collapsed by
-  // in-batch dedup into a single submission, and this test is about the
+  // single-flight into a single evaluation, and this test is about the
   // queue overflowing.
   std::vector<QueryRequest> batch(5, rig.Request());
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -603,6 +615,151 @@ TEST(AsyncServiceTest, BlockingBatchBackpressuresInsteadOfShedding) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.overloaded, 0u);
   for (const QueryResponse& r : responses) EXPECT_TRUE(r.status.ok());
+}
+
+/// The Figure 8 overlap batch bench_service runs: every up-cycle source of
+/// Fig8(m = 17, n = 19) four times over — 68 requests, 17 distinct.
+std::vector<QueryRequest> Fig8x4Batch() {
+  std::vector<QueryRequest> batch;
+  for (int rep = 0; rep < 4; ++rep) {
+    for (size_t i = 1; i <= 17; ++i) {
+      QueryRequest req{"sg", "a" + std::to_string(i), "", {}};
+      req.options.use_cyclic_bound = true;
+      batch.push_back(std::move(req));
+    }
+  }
+  return batch;
+}
+
+QueryServiceOptions SingleFlightOptions(size_t threads, size_t cache_bytes) {
+  QueryServiceOptions opts;
+  opts.num_threads = threads;
+  opts.queue_depth = 1024;
+  opts.answer_cache_bytes = cache_bytes;
+  return opts;
+}
+
+// Every path collapses in-batch duplicates exactly: the whole batch joins
+// its flights before any leader is dispatched, so no leader can finish
+// (and dissolve its flight) while a duplicate is still on its way in.
+TEST(SingleFlightTest, DuplicatesInOneBatchEvaluateOnce) {
+  Database db;
+  workloads::Fig8(db, 17, 19);
+  Program program = SgProgram(db);
+  const std::vector<QueryRequest> batch = Fig8x4Batch();
+  std::vector<QueryResponse> reference;
+  BatchStats ref_stats;
+  {
+    QueryService ref(&db, program, SingleFlightOptions(1, 0));
+    ASSERT_TRUE(ref.status().ok()) << ref.status().message();
+    reference = ref.EvalBatch(batch, &ref_stats);
+  }
+  for (const size_t threads : {1, 8}) {
+    for (const size_t cache_bytes : {size_t{0}, size_t{1} << 20}) {
+      QueryService service(&db, program,
+                           SingleFlightOptions(threads, cache_bytes));
+      ASSERT_TRUE(service.status().ok()) << service.status().message();
+      for (const bool async : {false, true}) {
+        for (int rep = 0; rep < 20; ++rep) {
+          SCOPED_TRACE(std::string(async ? "SubmitBatch" : "EvalBatch") +
+                       " threads=" + std::to_string(threads) +
+                       (cache_bytes > 0 ? " cache on" : " cache off") +
+                       " rep=" + std::to_string(rep));
+          if (service.answer_cache() != nullptr) {
+            service.answer_cache()->Clear();
+          }
+          BatchStats stats;
+          std::vector<QueryResponse> got =
+              async ? service.SubmitBatch(batch).Take(&stats)
+                    : service.EvalBatch(batch, &stats);
+          ASSERT_EQ(got.size(), reference.size());
+          // Waiters replay their leader's effort counters, so the batch
+          // totals depend on neither path, workers nor cache.
+          EXPECT_EQ(stats.tuples, ref_stats.tuples);
+          EXPECT_EQ(stats.fetches, ref_stats.fetches);
+          EXPECT_EQ(stats.total.nodes, ref_stats.total.nodes);
+          EXPECT_EQ(stats.total.iterations, ref_stats.total.iterations);
+          EXPECT_EQ(stats.total.expansions, ref_stats.total.expansions);
+          size_t collapsed = 0;
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(got[i].status.ok()) << got[i].status.message();
+            EXPECT_FALSE(got[i].trace.cache_hit) << i;
+            EXPECT_EQ(got[i].tuples, reference[i].tuples) << i;
+            if (got[i].trace.collapsed) ++collapsed;
+          }
+          EXPECT_EQ(collapsed, 51u);  // 17 evaluations for 68 requests
+        }
+      }
+    }
+  }
+}
+
+// A request never joins a flight whose leader may run past its deadline:
+// a parked waiter is answered only when its leader finishes, so joining a
+// deadline-free leader would answer the request long after its budget.
+TEST(SingleFlightTest, WaiterNeverOutlivesItsDeadline) {
+  LongQueryRig rig;
+  for (const size_t cache_bytes : {size_t{0}, size_t{1} << 20}) {
+    SCOPED_TRACE(cache_bytes > 0 ? "cache on" : "cache off");
+    QueryService service(&rig.db, rig.program,
+                         SingleFlightOptions(2, cache_bytes));
+    ASSERT_TRUE(service.status().ok()) << service.status().message();
+    auto t0 = std::chrono::steady_clock::now();
+    QueryResponse full = service.Eval(rig.Request());
+    const double uncancelled_ms = MsSince(t0);
+    ASSERT_TRUE(full.status.ok());
+    if (service.answer_cache() != nullptr) service.answer_cache()->Clear();
+
+    QueryFuture leader = service.Submit(rig.Request());
+    while (service.pending() != 0) std::this_thread::yield();
+    // A budget far below the leader's runtime, so joining would be late.
+    const double deadline_ms =
+        std::max(1.0, std::min(10.0, uncancelled_ms / 16));
+    t0 = std::chrono::steady_clock::now();
+    QueryResponse late = service.Submit(rig.Request(deadline_ms)).Take();
+    const double answered_ms = MsSince(t0);
+    EXPECT_EQ(late.status.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_TRUE(late.timed_out);
+    EXPECT_FALSE(late.trace.collapsed);
+    EXPECT_LT(answered_ms, uncancelled_ms / 2)
+        << "uncancelled=" << uncancelled_ms << "ms answered=" << answered_ms;
+    leader.Cancel();
+    leader.Wait();
+  }
+}
+
+// A leader that fails (here: its own deadline) does not fail its waiters,
+// and does not make each of them pay a full evaluation either: the first
+// waiter re-evaluates, the others replay its answer.
+TEST(SingleFlightTest, FailedLeaderCostsOneReevaluation) {
+  LongQueryRig rig;
+  for (const size_t cache_bytes : {size_t{0}, size_t{1} << 20}) {
+    SCOPED_TRACE(cache_bytes > 0 ? "cache on" : "cache off");
+    QueryService service(&rig.db, rig.program,
+                         SingleFlightOptions(2, cache_bytes));
+    ASSERT_TRUE(service.status().ok()) << service.status().message();
+    auto t0 = std::chrono::steady_clock::now();
+    QueryResponse full = service.Eval(rig.Request());
+    const double uncancelled_ms = MsSince(t0);
+    ASSERT_TRUE(full.status.ok());
+    if (service.answer_cache() != nullptr) service.answer_cache()->Clear();
+
+    // One batch, so all four deadline-free waiters deterministically join
+    // the leader (an earlier deadline than theirs) before it runs; its
+    // budget lands well before it could finish.
+    std::vector<QueryRequest> batch(5, rig.Request());
+    batch[0].options.deadline_ms =
+        std::max(5.0, std::min(20.0, uncancelled_ms / 8));
+    std::vector<QueryResponse> got = service.SubmitBatch(batch).Take();
+    EXPECT_EQ(got[0].status.code(), StatusCode::kDeadlineExceeded);
+    size_t evaluated = 0;
+    for (size_t i = 1; i < got.size(); ++i) {
+      ASSERT_TRUE(got[i].status.ok()) << got[i].status.message();
+      EXPECT_EQ(got[i].tuples, full.tuples) << i;
+      if (!got[i].trace.collapsed) ++evaluated;
+    }
+    EXPECT_EQ(evaluated, 1u);
+  }
 }
 
 TEST(ServiceTest, ConcurrentClientBatches) {

@@ -137,6 +137,21 @@ TEST_F(BinarizeTest, SgBothArgumentsBound) {
   EXPECT_EQ(db_.symbols().Name(got[0][1]), "b1");
 }
 
+TEST_F(BinarizeTest, DiagonalQueryMatchesSeminaive) {
+  // sg(X, X) repeats its variable: the answer is the diagonal of sg(X, Y),
+  // here (a, a), (d, d) and (e, e) but not (b, c) or (c, b).
+  db_.AddFact("flat", {"a", "a"});
+  db_.AddFact("flat", {"b", "c"});
+  db_.AddFact("flat", {"c", "b"});
+  db_.AddFact("up", {"d", "b"});
+  db_.AddFact("down", {"c", "d"});
+  db_.AddFact("up", {"e", "a"});
+  db_.AddFact("down", {"a", "e"});
+  auto got = Transformed(workloads::SgProgramText(), "sg(X, X)");
+  EXPECT_EQ(got, Reference(workloads::SgProgramText(), "sg(X, X)"));
+  EXPECT_EQ(got.size(), 3u);
+}
+
 TEST_F(BinarizeTest, FlightConnectionsMatchSeminaive) {
   workloads::FlightSpec spec;
   spec.airports = 6;
