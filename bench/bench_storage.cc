@@ -7,7 +7,8 @@
 // facade: literal resolution, binding-pattern dispatch, tuple shaping),
 // "ours-core" rows call Engine::EvalFrom on prebuilt views, the setup the
 // counting and Henschen-Naqvi rows get. The gap between the two is the
-// facade's cost; both must report the same fetches.
+// facade's cost; both must report the same fetches and nodes, and the
+// table prints the core's wall time per node of G(p, a, i).
 //
 // Usage:
 //   bench_storage [--n <size>] [--reps <k>] [--smoke] [--json [path]]
@@ -42,6 +43,7 @@ struct BenchResult {
   double wall_ms = 0;    // best-of-reps wall time of one query
   uint64_t fetches = 0;  // EDB retrievals during that query
   uint64_t results = 0;  // answer-set size (sanity: must match across PRs)
+  int64_t nodes = -1;    // |G(p, a, i)| on ours / ours-core rows, else -1
   bool ok = true;
   std::string error;
 };
@@ -72,6 +74,33 @@ BenchResult Measure(const std::string& name, Database& db, int reps, Fn body) {
   return r;
 }
 
+BenchResult Failed(const std::string& name, const Status& status) {
+  BenchResult r;
+  r.name = name;
+  r.ok = false;
+  r.error = status.message();
+  return r;
+}
+
+/// QueryEngine::Query for sg(source, Y): the facade path.
+BenchResult MeasureOurs(const std::string& name, Database& db,
+                        const std::string& source, const EvalOptions& options,
+                        int reps) {
+  QueryEngine engine(&db);
+  Status loaded = engine.LoadProgramText(workloads::SgProgramText());
+  if (!loaded.ok()) return Failed(name, loaded);
+  Literal query = ParseLiteral("sg(" + source + ", Y)", db.symbols()).take();
+  uint64_t nodes = 0;
+  BenchResult result = Measure(name, db, reps, [&]() -> Result<uint64_t> {
+    auto r = engine.Query(query, options);
+    if (!r.ok()) return r.status();
+    nodes = r.value().stats.nodes;
+    return static_cast<uint64_t>(r.value().tuples.size());
+  });
+  result.nodes = static_cast<int64_t>(nodes);
+  return result;
+}
+
 /// Engine::EvalFrom alone for sg(source, Y): program transform, view
 /// registry and engine are built outside the timed region.
 BenchResult MeasureCore(const std::string& name, Database& db,
@@ -80,24 +109,22 @@ BenchResult MeasureCore(const std::string& name, Database& db,
   Program program =
       ParseProgram(workloads::SgProgramText(), db.symbols()).take();
   auto eqs = TransformToEquations(program, db.symbols());
-  if (!eqs.ok()) {
-    BenchResult r;
-    r.name = name;
-    r.ok = false;
-    r.error = eqs.status().message();
-    return r;
-  }
+  if (!eqs.ok()) return Failed(name, eqs.status());
   ViewRegistry views(&db.symbols());
   views.RegisterDatabase(db);
   Engine engine(&eqs.value().final_system, &views);
   SymbolId sg = *db.symbols().Find("sg");
   TermId src = views.pool().Unary(*db.symbols().Find(source));
-  return Measure(name, db, reps, [&]() -> Result<uint64_t> {
+  uint64_t nodes = 0;
+  BenchResult result = Measure(name, db, reps, [&]() -> Result<uint64_t> {
     EvalStats stats;
     auto r = engine.EvalFrom(sg, src, options, &stats);
     if (!r.ok()) return r.status();
+    nodes = stats.nodes;
     return static_cast<uint64_t>(r.value().size());
   });
+  result.nodes = static_cast<int64_t>(nodes);
+  return result;
 }
 
 using SampleFn = std::string (*)(Database&, size_t);
@@ -130,16 +157,8 @@ void RunSample(const std::string& label, SampleFn build, size_t n,
   {
     Database db;
     std::string a = build(db, n);
-    QueryEngine engine(&db);
-    Program program = ParseProgram(workloads::SgProgramText(), db.symbols()).take();
-    if (!engine.LoadProgram(program).ok()) return;
-    Literal query = ParseLiteral("sg(" + a + ", Y)", db.symbols()).take();
-    out.push_back(Measure(label + "/ours/n=" + std::to_string(n), db, reps,
-                          [&]() -> Result<uint64_t> {
-                            auto r = engine.Query(query);
-                            if (!r.ok()) return r.status();
-                            return static_cast<uint64_t>(r.value().tuples.size());
-                          }));
+    out.push_back(
+        MeasureOurs(label + "/ours/n=" + std::to_string(n), db, a, {}, reps));
   }
   {
     Database db;
@@ -216,17 +235,8 @@ void RunAll(size_t n, size_t small_n, int reps, std::vector<BenchResult>& out) {
   {  // the linear-case ladder (bench_linear's shape)
     Database db;
     std::string a = WideLadder(db, n / 2, 8);
-    QueryEngine engine(&db);
-    if (engine.LoadProgramText(workloads::SgProgramText()).ok()) {
-      Literal query = ParseLiteral("sg(" + a + ", Y)", db.symbols()).take();
-      out.push_back(Measure("ladder/ours/h=" + std::to_string(n / 2), db, reps,
-                            [&]() -> Result<uint64_t> {
-                              auto r = engine.Query(query);
-                              if (!r.ok()) return r.status();
-                              return static_cast<uint64_t>(
-                                  r.value().tuples.size());
-                            }));
-    }
+    out.push_back(MeasureOurs("ladder/ours/h=" + std::to_string(n / 2), db, a,
+                              {}, reps));
   }
   {
     Database db;
@@ -243,17 +253,8 @@ void RunAll(size_t n, size_t small_n, int reps, std::vector<BenchResult>& out) {
   {
     Database db;
     std::string a = workloads::Fig8(db, m, cyc_n);
-    QueryEngine engine(&db);
-    if (engine.LoadProgramText(workloads::SgProgramText()).ok()) {
-      Literal query = ParseLiteral("sg(" + a + ", Y)", db.symbols()).take();
-      out.push_back(Measure("fig8/ours-cyclic/" + dims, db, reps,
-                            [&]() -> Result<uint64_t> {
-                              auto r = engine.Query(query, cyclic);
-                              if (!r.ok()) return r.status();
-                              return static_cast<uint64_t>(
-                                  r.value().tuples.size());
-                            }));
-    }
+    out.push_back(
+        MeasureOurs("fig8/ours-cyclic/" + dims, db, a, cyclic, reps));
   }
   {
     Database db;
@@ -296,17 +297,22 @@ int main(int argc, char** argv) {
   RunAll(n, small_n, reps, results);
 
   int failures = 0;
-  std::printf("%-36s %12s %12s %10s\n", "benchmark", "wall_ms", "fetches",
-              "results");
+  std::printf("%-36s %12s %12s %10s %10s %8s\n", "benchmark", "wall_ms",
+              "fetches", "results", "nodes", "ns/node");
   for (const BenchResult& r : results) {
     if (!r.ok) {
       ++failures;
       std::printf("%-36s ERROR: %s\n", r.name.c_str(), r.error.c_str());
       continue;
     }
-    std::printf("%-36s %12.3f %12llu %10llu\n", r.name.c_str(), r.wall_ms,
+    std::printf("%-36s %12.3f %12llu %10llu", r.name.c_str(), r.wall_ms,
                 static_cast<unsigned long long>(r.fetches),
                 static_cast<unsigned long long>(r.results));
+    if (r.nodes >= 0) std::printf(" %10lld", static_cast<long long>(r.nodes));
+    if (r.nodes > 0 && r.name.find("/ours-core") != std::string::npos) {
+      std::printf(" %8.1f", r.wall_ms * 1e6 / static_cast<double>(r.nodes));
+    }
+    std::printf("\n");
   }
 
   if (json) {
@@ -317,8 +323,9 @@ int main(int argc, char** argv) {
       const BenchResult& r = results[i];
       out << "    {\"name\": \"" << JsonEscape(r.name) << "\", \"ok\": "
           << (r.ok ? "true" : "false") << ", \"wall_ms\": " << r.wall_ms
-          << ", \"fetches\": " << r.fetches << ", \"results\": " << r.results
-          << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+          << ", \"fetches\": " << r.fetches << ", \"results\": " << r.results;
+      if (r.nodes >= 0) out << ", \"nodes\": " << r.nodes;
+      out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::printf("wrote %s\n", json_path.c_str());

@@ -34,9 +34,9 @@ fails (exit 1) on structural regressions that survive machine-speed noise:
   and the publish-heavy invalidation rep must stay selective (publishes
   touching only one base relation retire only the entries it supports);
 * ``bench_storage``: every ``ours-core`` row (``Engine::EvalFrom`` on
-  prebuilt views) must report the same ``fetches`` as its ``ours`` row
-  (the same query through ``QueryEngine::Query``): the facade may cost
-  wall time, never EDB retrievals;
+  prebuilt views) must report the same ``fetches`` and ``nodes`` as its
+  ``ours`` row (the same query through ``QueryEngine::Query``): the
+  facade may cost wall time, never EDB retrievals or nodes of G(p, a, i);
 * ``bench_live``: the publish-scaling sanity flag, when present in both
   files, must not regress from sublinear to superlinear;
 * ``bench_live``: the durable-publish block must report ``ok`` (the
@@ -300,11 +300,13 @@ def check_storage(baseline, smoke, errors):
         facade = by_name.get(name.replace("/ours-core", "/ours", 1))
         if facade is None:
             errors.append(f"storage: '{name}' has no matching 'ours' row")
-        elif core.get("fetches") != facade.get("fetches"):
-            errors.append(
-                f"storage: field 'fetches' of '{name}' differs from "
-                f"'{facade['name']}': core={core.get('fetches')}, "
-                f"facade={facade.get('fetches')}")
+            continue
+        for key in ("fetches", "nodes"):
+            if core.get(key) != facade.get(key):
+                errors.append(
+                    f"storage: field '{key}' of '{name}' differs from "
+                    f"'{facade['name']}': core={core.get(key)}, "
+                    f"facade={facade.get(key)}")
 
 
 # Durable publish (WAL attached, fsync off) may cost at most this much

@@ -16,6 +16,11 @@ uint64_t NodeKey(uint32_t state, TermId term) {
   return (static_cast<uint64_t>(state) << 32) | term;
 }
 
+// What the overflow hash spends per node: 8-byte slots at <= 70% load,
+// rounded up. Rows may use at most this many bytes per node inserted so
+// far, so the dense layout never costs more memory than hashing would.
+constexpr uint64_t kHashBytesPerNode = 16;
+
 }  // namespace
 
 Engine::Engine(const EquationSystem* eqs, ViewRegistry* views,
@@ -84,7 +89,44 @@ uint32_t Engine::AddCopy(const Nfa* m, uint32_t ret) {
   copies_.push_back(Copy{m, base, ret});
   copy_of_.resize(base + m->NumStates(), id);
   child_.resize(base + m->NumStates(), kNone);
+  slot_.resize(base + m->NumStates(), kEmptySlot);
   return id;
+}
+
+bool Engine::InsertNode(uint32_t q, TermId u, uint64_t nodes) {
+  if (u >= width_) return g_.insert(NodeKey(q, u));
+  uint32_t& slot = slot_[q];
+  if (slot >= kRowTag && slot < kOverflowSlot) {
+    uint64_t& word = rows_[size_t{slot - kRowTag} * row_words_ + (u >> 6)];
+    const uint64_t bit = 1ull << (u & 63);
+    if (word & bit) return false;
+    word |= bit;
+    return true;
+  }
+  if (slot == kEmptySlot) {
+    slot = u;
+    return true;
+  }
+  if (slot == u) return false;
+  if (slot == kOverflowSlot) return g_.insert(NodeKey(q, u));
+  // A second distinct term: promote the state to a row, or, past the
+  // budget, move it to the overflow set for the rest of the query.
+  const size_t begin = size_t{rows_used_} * row_words_;
+  const size_t end = begin + row_words_;
+  if (end * sizeof(uint64_t) > kHashBytesPerNode * nodes) {
+    g_.insert(NodeKey(q, slot));
+    slot = kOverflowSlot;
+    return g_.insert(NodeKey(q, u));
+  }
+  // The arena outlives the query and W may differ from the last one, so
+  // old bits can sit anywhere in [begin, end): zero the whole row.
+  if (rows_.size() < end) rows_.resize(end);
+  std::fill(rows_.begin() + begin, rows_.begin() + end, 0);
+  rows_[begin + (slot >> 6)] |= 1ull << (slot & 63);
+  rows_[begin + (u >> 6)] |= 1ull << (u & 63);
+  BINCHAIN_CHECK(rows_used_ < kOverflowSlot - kRowTag);
+  slot = kRowTag | rows_used_++;
+  return true;
 }
 
 Result<std::vector<TermId>> Engine::EvalFrom(SymbolId pred, TermId source,
@@ -98,7 +140,21 @@ Result<std::vector<TermId>> Engine::EvalFrom(SymbolId pred, TermId source,
   uint64_t tls_memo_before = EvalArtifacts::ThreadMemoHits();
 
   // Reset-and-reuse: empty the scratch sets but keep their capacity, so a
-  // query stream on one engine stops paying per-query growth.
+  // query stream on one engine stops paying per-query growth. Rows are
+  // zeroed when handed out, so the arena needs no clearing; like g_, it is
+  // released when the last query used under a quarter of it, so one large
+  // query's peak does not stay allocated for every query after it.
+  slot_.clear();
+  if (size_t{rows_used_} * row_words_ * 4 < rows_.size()) {
+    std::vector<uint64_t>().swap(rows_);
+  }
+  rows_used_ = 0;
+  // W covers the pool and, through the symbol count, every unary term the
+  // epoch's constants can still intern: a query on a cold registry interns
+  // its terms as it goes, and they should land in rows, not the overflow.
+  width_ = static_cast<TermId>(std::min<size_t>(
+      std::max(views_->pool().size(), views_->symbols().size()), kRowTag));
+  row_words_ = (width_ + 63) / 64;
   g_.clear();
   answer_set_.clear();
   copies_.clear();
@@ -163,7 +219,7 @@ Result<std::vector<TermId>> Engine::EvalFrom(SymbolId pred, TermId source,
   };
 
   auto try_insert = [&](uint32_t q, TermId u) {
-    if (!g_.insert(NodeKey(q, u))) return;
+    if (!InsertNode(q, u, st.nodes)) return;
     ++st.nodes;
     if (q == final_state && !answer_set_.TestAndSet(u)) answers.push_back(u);
     stack_.emplace_back(q, u);

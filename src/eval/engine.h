@@ -23,7 +23,18 @@
 // at most one non-id arc per state, which EvalFrom checks.
 //
 // Only the *nodes* of G are stored, never its arcs (Section 3: "the arcs of
-// the graph need not be stored at all").
+// the graph need not be stored at all"). The node set is laid out per
+// global state: each state has one 32-bit slot holding its first term
+// inline; a second distinct term promotes the state to a row, a bitset
+// over the term ids [0, W), carved from an arena reused across queries.
+// W, fixed at query start, is the larger of the term-pool size and the
+// symbol count, so the unary terms a cold registry interns mid-query still
+// fit. Terms with ids >= W, and states whose row would push the arena past
+// what a hash set spends on the nodes inserted so far, fall back to an
+// open-addressed overflow set. A node insert is thus one slot load and one
+// bit test on the common path, and node-set memory stays O(|G|) however
+// large W is. The dense path therefore needs |G| large against W: a query
+// that reaches few of many loaded constants runs on the overflow set.
 #ifndef BINCHAIN_EVAL_ENGINE_H_
 #define BINCHAIN_EVAL_ENGINE_H_
 
@@ -186,16 +197,33 @@ class Engine {
   /// Appends a copy of `m` returning to `ret`; returns its copy index.
   uint32_t AddCopy(const Nfa* m, uint32_t ret);
 
-  // Per-query scratch, cleared (capacity kept) at the top of EvalFrom so a
+  /// Adds node (q, u) to G; returns true if it was not there before.
+  /// `nodes` is |G| so far, which sets the row budget.
+  bool InsertNode(uint32_t q, TermId u, uint64_t nodes);
+
+  // Node-set slot values (see the file comment). A slot below kRowTag is
+  // the state's only term; kRowTag | r names row r; kEmptySlot means no
+  // term yet and kOverflowSlot that every term of the state is in g_.
+  static constexpr uint32_t kRowTag = 1u << 31;
+  static constexpr uint32_t kOverflowSlot = UINT32_MAX - 1;
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+  // Per-query scratch, cleared (capacity kept; only a sparsely used row
+  // arena or overflow table is released) at the top of EvalFrom so a
   // long-lived engine answers query streams without reallocating its node
   // sets from scratch each time. Copy records point into the machine maps,
   // which TakeMachines() may move between queries, so none outlives a call.
-  FlatSet64 g_;          // the node set of G(p, a, i)
+  std::vector<uint32_t> slot_;  // global state -> node-set slot
+  std::vector<uint64_t> rows_;  // row arena, row_words_ words per row
+  uint32_t row_words_ = 0;      // ceil(W / 64)
+  uint32_t rows_used_ = 0;
+  TermId width_ = 0;            // W: ids below it may take a slot or row
+  FlatSet64 g_;                 // overflow nodes of G(p, a, i)
   DenseBits answer_set_;
   std::vector<Copy> copies_;       // copies_[0] is the root M(e_p)
   std::vector<uint32_t> copy_of_;  // global state -> copy index
   std::vector<uint32_t> child_;    // global state -> expanding copy, or kNone
-  // Continuation points (state, term) of the current iteration. g_ visits
+  // Continuation points (state, term) of the current iteration. G visits
   // each node once and a state has at most one derived arc, so each point
   // is gathered once without a dedup set.
   std::vector<std::pair<uint32_t, TermId>> continuations_;

@@ -1,7 +1,7 @@
-// Growable bitset for dense id spaces (TermId, (state, term) products).
-// Test-and-set is one load and one OR — no hashing, no probing, no per-node
-// allocation — which is why the traversal seen-sets use it instead of hash
-// sets: ids are pool-interned and dense, so the bit array stays compact.
+// Growable bitset for dense id spaces. Test-and-set is one load and one
+// OR: no hashing, no probing, no per-node allocation. The engine keeps its
+// answer set in one (TermIds are pool-interned and dense, so the array
+// stays compact).
 #ifndef BINCHAIN_UTIL_DENSE_BITS_H_
 #define BINCHAIN_UTIL_DENSE_BITS_H_
 

@@ -1,9 +1,8 @@
-// Open-addressed hash set over 64-bit keys, used for the (state, term)
-// node sets of the traversal engines. Compared with unordered_set<uint64_t>
-// this stores keys inline in one contiguous array (no node allocations, one
-// cache line per probe) — the node-set insert is the innermost operation of
-// the graph traversal, so its constant factor is directly visible in query
-// wall time.
+// Open-addressed hash set over 64-bit keys. It holds the overflow nodes of
+// the engine's G(p, a, i) (eval/engine.h: term ids past the dense rows'
+// width, and states refused a row) and Hsu's visited set (eval/hsu.cc).
+// Compared with unordered_set<uint64_t> it stores keys inline in one
+// contiguous array: no node allocations, one cache line per probe.
 #ifndef BINCHAIN_UTIL_FLAT_SET_H_
 #define BINCHAIN_UTIL_FLAT_SET_H_
 
@@ -48,12 +47,12 @@ class FlatSet64 {
 
   size_t size() const { return used_ + (has_empty_ ? 1 : 0); }
 
-  /// Empties the set. A sparsely used table shrinks back to a small
-  /// capacity so clear-heavy loops (one clear per fixpoint iteration) don't
-  /// pay O(peak size) forever.
+  /// Empties the set. A sparsely used table is released for a fresh
+  /// 64-slot one, so an engine that clears once per query does not keep
+  /// one large query's peak table allocated for every query after it.
   void clear() {
     if (slots_.size() > 64 && used_ * 4 < slots_.size()) {
-      slots_.assign(64, kEmpty);
+      slots_ = std::vector<uint64_t>(64, kEmpty);
     } else {
       slots_.assign(slots_.size(), kEmpty);
     }

@@ -257,7 +257,7 @@ TEST(AnswerCacheTest, SingleFlightCollapsesConcurrentIdenticalSubmits) {
     auto genesis = std::make_unique<Database>();
     // Large enough that later submissions land while the leader is still
     // evaluating (Fig 7(b) is the Theta(n^2) same-generation sample).
-    std::string source = workloads::Fig7b(*genesis, 192);
+    std::string source = workloads::Fig7b(*genesis, 384);
     Program program =
         ParseProgram(workloads::SgProgramText(), genesis->symbols()).take();
     SnapshotManager manager(std::move(genesis));

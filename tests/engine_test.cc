@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
+#include "datalog/parser.h"
 #include "eval/hsu.h"
 #include "eval/query.h"
 #include "eval/rex_image.h"
@@ -227,13 +229,20 @@ void ExpectGolden(const QueryAnswer& a, const GoldenStats& g) {
   EXPECT_FALSE(a.stats.cancelled);
 }
 
-QueryAnswer RunSg(Database& db, const std::string& query,
-                  const EvalOptions& options = {}) {
+// Runs `query` twice on one QueryEngine and pins both runs to `g`. The
+// first run meets a cold registry and interns its terms mid-query; the
+// second finds them interned. The node set must not care which.
+void ExpectGoldenColdAndWarm(Database& db, const std::string& query,
+                             const GoldenStats& g,
+                             const EvalOptions& options = {}) {
   QueryEngine qe(&db);
-  EXPECT_TRUE(qe.LoadProgramText(workloads::SgProgramText()).ok());
-  auto r = qe.Query(query, options);
-  EXPECT_TRUE(r.ok()) << r.status().message();
-  return r.ok() ? r.value() : QueryAnswer{};
+  ASSERT_TRUE(qe.LoadProgramText(workloads::SgProgramText()).ok());
+  for (const char* run : {"cold", "warm"}) {
+    SCOPED_TRACE(run);
+    auto r = qe.Query(query, options);
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    ExpectGolden(r.value(), g);
+  }
 }
 
 std::vector<uint64_t> Ramp(uint64_t n) {  // 1, 2, ..., n
@@ -244,23 +253,24 @@ std::vector<uint64_t> Ramp(uint64_t n) {  // 1, 2, ..., n
 
 TEST_F(EngineTest, GoldenCountersFig7a) {
   std::string a = workloads::Fig7a(db_, 256);
-  ExpectGolden(RunSg(db_, "sg(" + a + ", Y)"),
-               {256, 2828, 2825, 3, 2, 257, 30, 1025, {0, 0, 256}});
+  ExpectGoldenColdAndWarm(db_, "sg(" + a + ", Y)",
+                          {256, 2828, 2825, 3, 2, 257, 30, 1025, {0, 0, 256}});
 }
 
 TEST_F(EngineTest, GoldenCountersFig7b) {
   // Theta(n^2) nodes; answer b_j appears after iteration j.
   std::string a = workloads::Fig7b(db_, 256);
-  ExpectGolden(RunSg(db_, "sg(" + a + ", Y)"),
-               {256, 132350, 132094, 256, 255, 255, 2560, 33151, Ramp(256)});
+  ExpectGoldenColdAndWarm(
+      db_, "sg(" + a + ", Y)",
+      {256, 132350, 132094, 256, 255, 255, 2560, 33151, Ramp(256)});
 }
 
 TEST_F(EngineTest, GoldenCountersFig7c) {
   // The ladder: one expansion and one continuation per rung.
   std::string a = workloads::Fig7c(db_, 256);
-  ExpectGolden(RunSg(db_, "sg(" + a + ", Y)"),
-               {1, 2555, 2554, 256, 255, 255, 2560, 766,
-                std::vector<uint64_t>(256, 1)});
+  ExpectGoldenColdAndWarm(db_, "sg(" + a + ", Y)",
+                          {1, 2555, 2554, 256, 255, 255, 2560, 766,
+                           std::vector<uint64_t>(256, 1)});
 }
 
 TEST_F(EngineTest, GoldenCountersFig8CyclicBound) {
@@ -270,10 +280,11 @@ TEST_F(EngineTest, GoldenCountersFig8CyclicBound) {
   std::string a = workloads::Fig8(db_, 3, 5);
   EvalOptions opt;
   opt.use_cyclic_bound = true;
-  ExpectGolden(RunSg(db_, "sg(" + a + ", Y)", opt),
-               {5, 245, 230, 15, 14, 15, 150, 69,
-                {0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5},
-                /*hit_iteration_cap=*/true});
+  ExpectGoldenColdAndWarm(db_, "sg(" + a + ", Y)",
+                          {5, 245, 230, 15, 14, 15, 150, 69,
+                           {0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5},
+                           /*hit_iteration_cap=*/true},
+                          opt);
 }
 
 TEST_F(EngineTest, GoldenCountersInvertedSystem) {
@@ -282,9 +293,153 @@ TEST_F(EngineTest, GoldenCountersInvertedSystem) {
   workloads::Fig7b(db_, 256);
   std::vector<uint64_t> per_iteration(256, 0);
   per_iteration.back() = 1;
-  ExpectGolden(RunSg(db_, "sg(X, b1)"),
-               {1, 132860, 132604, 256, 255, 255, 2560, 33151,
-                per_iteration});
+  ExpectGoldenColdAndWarm(db_, "sg(X, b1)",
+                          {1, 132860, 132604, 256, 255, 255, 2560, 33151,
+                           per_iteration});
+}
+
+void ExpectSameStats(const EvalStats& a, const EvalStats& b) {
+  EXPECT_EQ(a.nodes, b.nodes);
+  EXPECT_EQ(a.arcs, b.arcs);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.expansions, b.expansions);
+  EXPECT_EQ(a.continuations, b.continuations);
+  EXPECT_EQ(a.em_states, b.em_states);
+  EXPECT_EQ(a.fetches, b.fetches);
+  EXPECT_EQ(a.wide_mask_scans, b.wide_mask_scans);
+  EXPECT_EQ(a.memo_hits, b.memo_hits);
+  EXPECT_EQ(a.cancel_checks, b.cancel_checks);
+  EXPECT_EQ(a.hit_iteration_cap, b.hit_iteration_cap);
+  EXPECT_EQ(a.cancelled, b.cancelled);
+  EXPECT_EQ(a.answers_per_iteration, b.answers_per_iteration);
+}
+
+struct EngineRun {
+  std::set<std::string> answers;
+  EvalStats stats;
+};
+
+// One query through Engine::EvalFrom on prebuilt views, with the registry
+// at hand so a test can intern unrelated terms into it between queries.
+class EngineRig {
+ public:
+  // `facts` fills the database and returns the query constant; the query
+  // is pred(constant, Y) under `program`.
+  EngineRig(const char* program, const std::string& pred,
+            const std::function<std::string(Database&)>& facts)
+      : source_(facts(db_)), views_(&db_.symbols()) {
+    auto eqs = TransformToEquations(
+        ParseProgram(program, db_.symbols()).take(), db_.symbols());
+    EXPECT_TRUE(eqs.ok());
+    if (eqs.ok()) eqs_ = std::move(eqs.value().final_system);
+    views_.RegisterDatabase(db_);
+    pred_ = *db_.symbols().Find(pred);
+  }
+
+  Engine NewEngine() { return Engine(&eqs_, &views_); }
+
+  // Interns `count` unrelated terms: unary terms of fresh constants, or
+  // (with `tuples`) pair terms, which grow the pool but not the symbol
+  // table.
+  void Pad(size_t count, bool tuples) {
+    for (size_t i = 0; i < count; ++i, ++padded_) {
+      if (tuples) {
+        SymbolId c = static_cast<SymbolId>(padded_);
+        views_.pool().InternTuple(Tuple{c, c});
+      } else {
+        SymbolId c = db_.symbols().Intern("pad" + std::to_string(padded_));
+        views_.pool().Unary(c);
+      }
+    }
+  }
+
+  EngineRun Run(Engine& engine) {
+    EngineRun run;
+    TermId source = views_.pool().Unary(*db_.symbols().Find(source_));
+    auto r = engine.EvalFrom(pred_, source, {}, &run.stats);
+    EXPECT_TRUE(r.ok()) << r.status().message();
+    if (!r.ok()) return run;
+    for (TermId y : r.value()) {
+      run.answers.insert(db_.symbols().Name(views_.pool().AsUnary(y)));
+    }
+    return run;
+  }
+
+ private:
+  Database db_;
+  std::string source_;
+  ViewRegistry views_;
+  EquationSystem eqs_;
+  SymbolId pred_ = 0;
+  size_t padded_ = 0;
+};
+
+EngineRig SgOnFig7b(uint64_t n) {
+  return EngineRig(workloads::SgProgramText(), "sg",
+                   [n](Database& db) { return workloads::Fig7b(db, n); });
+}
+
+// Fig. 7(b) n = 64, run twice on one engine after `padding` unrelated
+// terms were interned (see EngineRig::Pad).
+std::vector<EngineRun> RunFig7bOnPaddedPool(size_t padding, bool tuples) {
+  EngineRig rig = SgOnFig7b(64);
+  rig.Pad(padding, tuples);
+  Engine engine = rig.NewEngine();
+  std::vector<EngineRun> runs;
+  for (int i = 0; i < 2; ++i) runs.push_back(rig.Run(engine));
+  return runs;
+}
+
+TEST_F(EngineTest, NodeSetRowBoundOnLargePool) {
+  // With 2^17 terms in the pool a row spans 2^17 bits (16 KiB), more than
+  // the row budget (16 B per node inserted so far) allows for most states
+  // of this ~8.5k-node query, so most multi-term states stay in the
+  // overflow set. With pair-term padding the symbol table stays small, and
+  // the cold run interns the workload's unary terms past W, into the
+  // overflow set too. No padding may change the answer or any counter.
+  std::vector<EngineRun> plain = RunFig7bOnPaddedPool(0, false);
+  ASSERT_EQ(plain[1].answers.size(), 64u);
+  for (bool tuples : {false, true}) {
+    std::vector<EngineRun> padded =
+        RunFig7bOnPaddedPool(size_t{1} << 17, tuples);
+    for (size_t i = 0; i < plain.size(); ++i) {
+      SCOPED_TRACE(std::string(tuples ? "pair terms, " : "constants, ") +
+                   (i == 0 ? "cold" : "warm"));
+      EXPECT_EQ(padded[i].answers, plain[i].answers);
+      ExpectSameStats(padded[i].stats, plain[i].stats);
+    }
+  }
+}
+
+// Runs the rig's query on one reused engine and on a fresh engine per
+// step, interning 64 fresh constants between steps, and wants them equal.
+void ExpectReusedEngineAgreesAsWidthGrows(EngineRig& rig) {
+  Engine reused = rig.NewEngine();
+  for (int step = 0; step < 4; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    Engine fresh = rig.NewEngine();
+    EngineRun expected = rig.Run(fresh);
+    EngineRun got = rig.Run(reused);
+    EXPECT_EQ(got.answers, expected.answers);
+    ExpectSameStats(got.stats, expected.stats);
+    rig.Pad(64, /*tuples=*/false);
+  }
+}
+
+TEST_F(EngineTest, NodeSetRowsStayCleanWhenWidthGrows) {
+  // The row arena outlives a query. 64 fresh constants grow W by 64 and
+  // every row by one word, so the next query's rows start at new offsets
+  // over words the last query left set. A reused engine must still agree
+  // with a fresh one. Fig. 7(b) leaves few old bits where they matter;
+  // the path query over a chain fills its rows with most of the chain, so
+  // the row that straddles the old arena's end finds old bits on terms
+  // its state still has to reach.
+  EngineRig fig7b = SgOnFig7b(256);
+  ExpectReusedEngineAgreesAsWidthGrows(fig7b);
+  EngineRig chain(workloads::PathProgramText(), "path", [](Database& db) {
+    return workloads::Chain(db, "e", "c", 100);
+  });
+  ExpectReusedEngineAgreesAsWidthGrows(chain);
 }
 
 TEST_F(EngineTest, BaseRelationQueriesAnswerDirectly) {
