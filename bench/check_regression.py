@@ -48,7 +48,10 @@ fails (exit 1) on structural regressions that survive machine-speed noise:
   but not gated).
 
 Wall-clock numbers are never compared: smoke runs use smaller inputs and
-CI machines vary. The gate asserts invariants, not speed.
+CI machines vary. The gate asserts invariants, not speed. It only warns
+when the baseline's host block differs from this machine (CPU model,
+nproc) or from the current run's (``effective_cores`` apart by more than
+25%, or missing from a baseline that predates it).
 
 Usage:  check_regression.py <baseline.json> <smoke.json>
 """
@@ -72,13 +75,21 @@ def current_cpu_model():
     return ""
 
 
-def warn_host_mismatch(baseline):
+# Relative difference in host.effective_cores (bench_util.h's calibrated
+# spin test) past which the baseline and the current run count as having
+# had different parallelism.
+EFFECTIVE_CORES_TOLERANCE = 0.25
+
+
+def warn_host_mismatch(baseline, current):
     """Non-fatal: flag a baseline recorded on different hardware.
 
     The gate itself only checks machine-independent invariants, but the
     numbers humans read next to a failure (wall times, ratios near their
     bounds) are only comparable on like hardware — so say so out loud
     instead of leaving the mismatch to be discovered mid-investigation.
+    `nproc` alone does not describe the parallelism a run got, so the
+    effective cores both runs measured are compared too.
     """
     host = baseline.get("host")
     if not isinstance(host, dict):
@@ -90,6 +101,18 @@ def warn_host_mismatch(baseline):
     cpu = current_cpu_model()
     if host.get("cpu") and cpu and host["cpu"] != cpu:
         mismatches.append(f"cpu '{host['cpu']}' vs '{cpu}'")
+    cur_host = current.get("host")
+    cores = cur_host.get("effective_cores") if isinstance(cur_host, dict) else None
+    base_cores = host.get("effective_cores")
+    if base_cores is None:
+        print("NOTE: the baseline predates host.effective_cores, so the "
+              "parallelism its run got is unknown"
+              + (f" (this run: {cores:.2f} effective cores)."
+                 if cores is not None else "."))
+    elif cores is not None and (
+            abs(cores - base_cores) > EFFECTIVE_CORES_TOLERANCE * base_cores):
+        mismatches.append(
+            f"effective_cores {base_cores:.2f} vs {cores:.2f}")
     if mismatches:
         print(
             "WARNING: baseline host differs from this machine "
@@ -366,7 +389,7 @@ def main(argv):
     kind_s = smoke.get("bench")
     if kind_b != kind_s:
         fail([f"baseline is a '{kind_b}' snapshot but smoke is '{kind_s}'"])
-    warn_host_mismatch(baseline)
+    warn_host_mismatch(baseline, smoke)
 
     errors = []
     if kind_s == "service":

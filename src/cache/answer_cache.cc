@@ -139,6 +139,7 @@ size_t AnswerCache::EntryBytes(const std::string& key, const Entry& e) {
   if (e.answer != nullptr) {
     bytes += e.answer->tuples.size() * sizeof(Tuple);
     for (const Tuple& t : e.answer->tuples) bytes += t.size() * sizeof(SymbolId);
+    bytes += e.answer->stats.answers_per_iteration.heap_bytes();
   }
   return bytes;
 }

@@ -100,10 +100,10 @@ struct CacheSnapshot {
 class AnswerCache {
  public:
   /// `max_bytes` caps the summed per-entry byte accounting (keys, tuples,
-  /// support sets, bookkeeping); must be > 0 — a service that wants no
-  /// cache simply constructs none. `program_fingerprint` identifies the
-  /// prepared program the keys were derived under (recorded in every key;
-  /// see QueryService::RequestKey).
+  /// the stats' answer curve, support sets, bookkeeping); must be > 0 — a
+  /// service that wants no cache simply constructs none.
+  /// `program_fingerprint` identifies the prepared program the keys were
+  /// derived under (recorded in every key; see QueryService::RequestKey).
   AnswerCache(size_t max_bytes, uint64_t program_fingerprint);
   ~AnswerCache();  // out-of-line: Shard is incomplete here
   AnswerCache(const AnswerCache&) = delete;
@@ -155,7 +155,9 @@ class AnswerCache {
   Shard& ShardFor(const std::string& key);
   /// True when every dep still matches `db` (pointer + dead_mutations).
   static bool Valid(const Entry& e, const Database& db);
-  /// Approximate resident footprint of one entry.
+  /// Approximate resident footprint of one entry: the Entry and
+  /// CachedAnswer records, the key, the tuples, the support set and the
+  /// answer curve's steps.
   static size_t EntryBytes(const std::string& key, const Entry& e);
   /// Unlinks + erases `e` from `s` (caller holds the shard lock).
   void EraseLocked(Shard& s, Entry* e);

@@ -46,6 +46,7 @@
 
 #include "automata/nfa.h"
 #include "equations/equations.h"
+#include "eval/answer_curve.h"
 #include "eval/relation_view.h"
 #include "util/cancel_token.h"
 #include "util/dense_bits.h"
@@ -57,6 +58,10 @@ namespace binchain {
 class AnswerTermSink;  // eval/answer_sink.h (engine-level chunk consumer)
 class AnswerSink;      // eval/answer_sink.h (tuple-level, QueryEngine)
 
+/// Work counters of one evaluation. A plain copyable value: responses,
+/// answer-cache entries and batch totals hold it by value, so every field
+/// but the answer curve is a fixed-size scalar, and the curve's size
+/// follows the answers, not the iterations.
 struct EvalStats {
   uint64_t nodes = 0;        // |G|: (state, term) pairs created
   uint64_t arcs = 0;         // arc traversals (edge enumerations)
@@ -90,8 +95,10 @@ struct EvalStats {
   /// Cumulative answer-set size after each iteration (Lemma 2: the partial
   /// answer after iteration i equals the answer of p defined by p = p_i).
   /// On Figure 8's cyclic data the trace shows the paper's "periodically m
-  /// successive iterations during which nothing new is added".
-  std::vector<uint64_t> answers_per_iteration;
+  /// successive iterations during which nothing new is added". Stored as
+  /// the steps where the count changes (eval/answer_curve.h), so it costs
+  /// O(answers), not O(iterations), wherever the stats are kept.
+  AnswerCurve answers_per_iteration;
 };
 
 struct EvalOptions {

@@ -1,6 +1,7 @@
 #include "eval/eval_artifacts.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 
 #include "datalog/printer.h"
@@ -61,37 +62,44 @@ void SharedAdjacency::BuildLocal() const {
   // Relation::ForEachMatch delivers. Tombstoned rows are skipped: the memo
   // bakes the relation's (frozen, immutable) dead set into the CSR, which
   // is why a later retraction forces the shrunk rebuild instead of a chain
-  // extension (see EvalArtifacts::BuildFor).
-  SymbolId bound = 0;
+  // extension (see EvalArtifacts::BuildFor). Offsets cover only each
+  // direction's key span over the live rows, so a delta layer's size
+  // follows its delta, not the epoch's largest symbol id.
+  SymbolId flo = std::numeric_limits<SymbolId>::max(), fhi = 0;
+  SymbolId blo = flo, bhi = 0;
   size_t rows = 0;
   for (size_t r = local_begin_; r < total_rows_; ++r) {
     if (rel_->RowDead(r)) continue;
     TupleRef t = rel_->tuple(r);
-    bound = std::max({bound, static_cast<SymbolId>(t[0] + 1),
-                      static_cast<SymbolId>(t[1] + 1)});
+    flo = std::min(flo, t[0]);
+    fhi = std::max(fhi, t[0]);
+    blo = std::min(blo, t[1]);
+    bhi = std::max(bhi, t[1]);
     ++rows;
   }
-  fwd_.off.assign(bound + 1, 0);
-  bwd_.off.assign(bound + 1, 0);
+  if (rows == 0) return;  // empty offsets: every key enumerates nothing
+  fwd_.lo = flo;
+  bwd_.lo = blo;
+  fwd_.off.assign(size_t{fhi} - flo + 2, 0);
+  bwd_.off.assign(size_t{bhi} - blo + 2, 0);
   fwd_.tgt.resize(rows);
   bwd_.tgt.resize(rows);
   for (size_t r = local_begin_; r < total_rows_; ++r) {
     if (rel_->RowDead(r)) continue;
     TupleRef t = rel_->tuple(r);
-    ++fwd_.off[t[0] + 1];
-    ++bwd_.off[t[1] + 1];
+    ++fwd_.off[t[0] - flo + 1];
+    ++bwd_.off[t[1] - blo + 1];
   }
-  for (SymbolId c = 1; c <= bound; ++c) {
-    fwd_.off[c] += fwd_.off[c - 1];
-    bwd_.off[c] += bwd_.off[c - 1];
+  for (Csr* c : {&fwd_, &bwd_}) {
+    for (size_t k = 1; k < c->off.size(); ++k) c->off[k] += c->off[k - 1];
   }
   std::vector<uint32_t> fcur(fwd_.off.begin(), fwd_.off.end());
   std::vector<uint32_t> bcur(bwd_.off.begin(), bwd_.off.end());
   for (size_t r = local_begin_; r < total_rows_; ++r) {
     if (rel_->RowDead(r)) continue;
     TupleRef t = rel_->tuple(r);
-    fwd_.tgt[fcur[t[0]]++] = t[1];
-    bwd_.tgt[bcur[t[1]]++] = t[0];
+    fwd_.tgt[fcur[t[0] - flo]++] = t[1];
+    bwd_.tgt[bcur[t[1] - blo]++] = t[0];
   }
 }
 

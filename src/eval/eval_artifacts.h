@@ -94,8 +94,8 @@ using SharedClosure = SharedOnce<ClosureValue>;
 using SharedSources = SharedOnce<std::vector<SymbolId>>;
 
 /// Forward/backward adjacency of one frozen binary relation, materialized
-/// as CSR (offsets indexed by SymbolId + flat target array) the first time
-/// any worker probes it, then served lock-free to every worker of the
+/// as CSR (offsets over the layer's key span + flat target array) the first
+/// time any worker probes it, then served lock-free to every worker of the
 /// epoch. Per-source target lists preserve row insertion order, so a probe
 /// emits exactly what Relation::ForEachMatch would — minus the per-tuple
 /// EDB retrieval, which is why batch fetch counts drop.
@@ -103,7 +103,11 @@ using SharedSources = SharedOnce<std::vector<SymbolId>>;
 /// Across epochs the memo layers like the relation it mirrors: an entry for
 /// a delta-extended relation chains to the previous epoch's memo and builds
 /// CSR over only the delta rows (O(delta)); the shared flatten policy
-/// (Relation::ShouldFlatten) bounds chain depth.
+/// (Relation::ShouldFlatten) bounds chain depth. Each direction's offsets
+/// span only the keys [lo, hi] of the layer's live rows, so a delta layer
+/// costs O(delta rows + its key span), not one offset per symbol of the
+/// epoch; a delta whose keys span the whole id range costs what the root
+/// does.
 class SharedAdjacency {
  public:
   /// Standalone memo over `rel` (built lazily on first EnsureBuilt).
@@ -133,11 +137,13 @@ class SharedAdjacency {
 
  private:
   struct Csr {
-    std::vector<uint32_t> off;  // indexed by SymbolId; empty until built
+    SymbolId lo = 0;  // smallest key; off[k - lo] starts key k's targets
+    std::vector<uint32_t> off;  // hi - lo + 2 entries; empty until built
     std::vector<SymbolId> tgt;
     void ForKey(SymbolId key, FunctionRef<void(SymbolId)> fn) const {
-      if (key + 1 >= off.size()) return;
-      for (uint32_t i = off[key]; i < off[key + 1]; ++i) fn(tgt[i]);
+      if (key < lo || size_t{key} - lo + 1 >= off.size()) return;
+      const size_t k = key - lo;
+      for (uint32_t i = off[k]; i < off[k + 1]; ++i) fn(tgt[i]);
     }
   };
   void BuildLocal() const;  // rows [local_begin_, rel_->size())

@@ -1046,21 +1046,7 @@ void QueryService::CompleteQuery(AsyncQueryState& q) {
       s.total.memo_hits += r.stats.memo_hits;
       s.total.cancel_checks += r.stats.cancel_checks;
       s.total.hit_iteration_cap |= r.stats.hit_iteration_cap;
-      // Elementwise: entry i = answers known after iteration i, summed over
-      // the batch. A query that converged earlier contributes its final
-      // count to the later entries (its curve continues flat), which keeps
-      // the sum order-independent and makes the last entry equal s.tuples.
-      const auto& api = r.stats.answers_per_iteration;
-      auto& acc = s.total.answers_per_iteration;
-      if (!api.empty()) {
-        if (api.size() > acc.size()) {
-          const uint64_t tail = acc.empty() ? 0 : acc.back();
-          acc.resize(api.size(), tail);
-        }
-        for (size_t i = 0; i < acc.size(); ++i) {
-          acc[i] += i < api.size() ? api[i] : api.back();
-        }
-      }
+      s.total.answers_per_iteration.Add(r.stats.answers_per_iteration);
     }
     if (--b.remaining == 0) {
       last = true;

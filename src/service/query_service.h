@@ -242,9 +242,12 @@ struct BatchStats {
   uint64_t fetches = 0;
   uint64_t epoch = 0;    // snapshot the whole batch evaluated against
   /// Scalar fields summed; answers_per_iteration is the *elementwise* sum
-  /// over the batch's successful queries (entry i = answers known after
-  /// iteration i, totalled across queries), so its last entry matches
-  /// `tuples` and the growth curve stays schedule-independent.
+  /// over the batch's successful queries (AnswerCurve::Add: entry i =
+  /// answers known after iteration i, totalled across queries, a query
+  /// that converged earlier continuing flat at its final count), so its
+  /// last entry matches `tuples` and the growth curve stays
+  /// schedule-independent. Like each query's curve it is stored as steps:
+  /// its size follows the distinct totals, not the longest query.
   EvalStats total;
   double wall_ms = 0;    // batch wall time (submission to last completion)
 };

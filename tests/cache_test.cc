@@ -109,6 +109,8 @@ TEST(AnswerCacheTest, MissFillsThenHitReplaysVerbatim) {
   EXPECT_EQ(second.fetches, first.fetches);
   EXPECT_EQ(second.stats.nodes, first.stats.nodes);
   EXPECT_EQ(second.stats.iterations, first.stats.iterations);
+  EXPECT_EQ(second.stats.answers_per_iteration,
+            first.stats.answers_per_iteration);
   snap = rig.Snap();
   EXPECT_EQ(snap.hits, 1u);
   EXPECT_EQ(snap.misses, 1u);
@@ -214,6 +216,29 @@ TEST(AnswerCacheTest, TombstoneRetractionInvalidatesThroughPublish) {
   ASSERT_TRUE(after.status.ok());
   EXPECT_FALSE(after.trace.cache_hit);
   EXPECT_EQ(after.tuples.size(), 3u);  // u1 now reaches only u2..u4
+}
+
+// The byte cap covers everything an entry holds, the stats' answer curve
+// included: two entries alike but for a 1-step vs a 4,096-step curve must
+// be accounted at least the extra steps (8 B each) apart.
+TEST(AnswerCacheTest, EntryBytesCountTheAnswerCurve) {
+  auto answer_with_steps = [](size_t steps) {
+    auto answer = std::make_shared<CachedAnswer>();
+    answer->tuples.push_back({0, 1});
+    for (size_t i = 1; i <= steps; ++i) {
+      answer->stats.answers_per_iteration.push_back(i);
+    }
+    return answer;
+  };
+  auto accounted = [](std::shared_ptr<CachedAnswer> answer) {
+    AnswerCache cache(64 << 20, /*program_fingerprint=*/1);
+    cache.Insert("key", {}, std::move(answer), /*epoch=*/0);
+    EXPECT_EQ(cache.Snapshot().entries, 1u);
+    return cache.Snapshot().bytes;
+  };
+  const uint64_t short_curve = accounted(answer_with_steps(1));
+  const uint64_t long_curve = accounted(answer_with_steps(4096));
+  EXPECT_GE(long_curve, short_curve + (4096 - 1) * 8);
 }
 
 // The dead_mutations counter is the defensive second check behind pointer
@@ -344,8 +369,9 @@ TEST(AnswerCacheTest, CacheOnAndOffAnswerIdenticallyAcrossPublishCycles) {
       ASSERT_TRUE(off_mgr.Publish().status.ok());
       ASSERT_TRUE(on_mgr.Publish().status.ok());
     }
-    std::vector<QueryResponse> a = off.EvalBatch(batch, nullptr);
-    std::vector<QueryResponse> b = on.EvalBatch(batch, nullptr);
+    BatchStats off_stats, on_stats;
+    std::vector<QueryResponse> a = off.EvalBatch(batch, &off_stats);
+    std::vector<QueryResponse> b = on.EvalBatch(batch, &on_stats);
     ASSERT_EQ(a.size(), batch.size());
     ASSERT_EQ(b.size(), batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -359,7 +385,18 @@ TEST(AnswerCacheTest, CacheOnAndOffAnswerIdenticallyAcrossPublishCycles) {
                                           << cycle;
       EXPECT_EQ(AnswerCache::HashTuples(a[i].tuples),
                 AnswerCache::HashTuples(b[i].tuples));
+      EXPECT_EQ(a[i].stats.answers_per_iteration,
+                b[i].stats.answers_per_iteration)
+          << "query " << i << " cycle " << cycle;
     }
+    // Hits replay the stored stats verbatim, so the batch totals match too.
+    EXPECT_EQ(off_stats.tuples, on_stats.tuples);
+    EXPECT_EQ(off_stats.fetches, on_stats.fetches);
+    EXPECT_EQ(off_stats.total.nodes, on_stats.total.nodes);
+    EXPECT_EQ(off_stats.total.iterations, on_stats.total.iterations);
+    EXPECT_EQ(off_stats.total.answers_per_iteration,
+              on_stats.total.answers_per_iteration);
+    EXPECT_EQ(on_stats.total.answers_per_iteration.back(), on_stats.tuples);
   }
   CacheSnapshot snap = on.answer_cache()->Snapshot();
   EXPECT_GT(snap.hits, 0u);           // repeats across epochs were served

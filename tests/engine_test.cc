@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <set>
 
 #include "datalog/parser.h"
+#include "eval/answer_curve.h"
 #include "eval/hsu.h"
 #include "eval/query.h"
 #include "eval/rex_image.h"
 #include "storage/database.h"
+#include "util/rng.h"
 #include "workloads/workloads.h"
 
 namespace binchain {
@@ -196,6 +199,14 @@ TEST_F(EngineTest, EngineReuseAcrossRepeatedAndDistinctQueries) {
   }
 }
 
+// The curve as the dense vector it reads as: entry i is the cumulative
+// answer count after iteration i + 1.
+std::vector<uint64_t> Dense(const AnswerCurve& curve) {
+  std::vector<uint64_t> out;
+  for (size_t i = 0; i < curve.size(); ++i) out.push_back(curve[i]);
+  return out;
+}
+
 // Golden counters: the exact EvalStats of the paper's workloads, pinned so
 // a rewrite of the EM(p, i) bookkeeping (how machine copies are addressed,
 // how continuation points are gathered) cannot silently change the work the
@@ -224,7 +235,7 @@ void ExpectGolden(const QueryAnswer& a, const GoldenStats& g) {
   EXPECT_EQ(a.stats.em_states, g.em_states);
   EXPECT_EQ(a.stats.fetches, g.fetches);
   EXPECT_EQ(a.fetches, g.fetches);
-  EXPECT_EQ(a.stats.answers_per_iteration, g.answers_per_iteration);
+  EXPECT_EQ(Dense(a.stats.answers_per_iteration), g.answers_per_iteration);
   EXPECT_EQ(a.stats.hit_iteration_cap, g.hit_iteration_cap);
   EXPECT_FALSE(a.stats.cancelled);
 }
@@ -296,6 +307,99 @@ TEST_F(EngineTest, GoldenCountersInvertedSystem) {
   ExpectGoldenColdAndWarm(db_, "sg(X, b1)",
                           {1, 132860, 132604, 256, 255, 255, 2560, 33151,
                            per_iteration});
+}
+
+// The curve is O(steps): the ladder's single answer, found in the first of
+// n iterations, is one step however long the run; a Figure 7(b) curve grows
+// every iteration and holds no more than the dense vector would.
+TEST_F(EngineTest, AnswerCurveFollowsAnswersNotIterations) {
+  std::string a = workloads::Fig7c(db_, 2048);
+  QueryEngine qe(&db_);
+  ASSERT_TRUE(qe.LoadProgramText(workloads::SgProgramText()).ok());
+  auto ladder = qe.Query("sg(" + a + ", Y)");
+  ASSERT_TRUE(ladder.ok()) << ladder.status().message();
+  const AnswerCurve& one = ladder.value().stats.answers_per_iteration;
+  EXPECT_EQ(one.size(), 2048u);
+  EXPECT_EQ(one.steps(), 1u);
+  EXPECT_EQ(one.back(), 1u);
+
+  Database db;
+  std::string b = workloads::Fig7b(db, 256);
+  QueryEngine qb(&db);
+  ASSERT_TRUE(qb.LoadProgramText(workloads::SgProgramText()).ok());
+  auto grid = qb.Query("sg(" + b + ", Y)");
+  ASSERT_TRUE(grid.ok()) << grid.status().message();
+  const AnswerCurve& ramp = grid.value().stats.answers_per_iteration;
+  const std::vector<uint64_t> dense = Dense(ramp);  // grown by push_back
+  EXPECT_EQ(ramp.steps(), 256u);
+  EXPECT_LE(ramp.heap_bytes(), dense.capacity() * sizeof(uint64_t));
+}
+
+// A random Lemma 2 curve: non-decreasing, lengths 0-300, with plateaus,
+// unit steps and jumps, starting at zero or above it.
+std::vector<uint64_t> RandomCurve(Rng& rng) {
+  std::vector<uint64_t> v(rng.Below(301));
+  uint64_t count = rng.Chance(1, 2) ? 0 : rng.Between(1, 1000);
+  for (uint64_t& x : v) {
+    const uint64_t roll = rng.Below(20);
+    if (roll >= 17) {
+      count += rng.Between(2, 100000);
+    } else if (roll >= 12) {
+      count += 1;
+    }
+    x = count;
+  }
+  return v;
+}
+
+AnswerCurve Record(const std::vector<uint64_t>& dense) {
+  AnswerCurve curve;
+  for (uint64_t x : dense) curve.push_back(x);
+  return curve;
+}
+
+size_t Distinct(const std::vector<uint64_t>& v) {
+  return std::set<uint64_t>(v.begin(), v.end()).size();
+}
+
+TEST(AnswerCurveTest, RecordedCurveReadsBackAsDense) {
+  Rng rng(15);
+  for (int trial = 0; trial < 1000; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::vector<uint64_t> v = RandomCurve(rng);
+    const AnswerCurve curve = Record(v);
+    ASSERT_EQ(curve.size(), v.size());
+    EXPECT_EQ(curve.empty(), v.empty());
+    EXPECT_EQ(Dense(curve), v);
+    EXPECT_EQ(curve.back(), v.empty() ? 0 : v.back());
+    EXPECT_LE(curve.steps(), std::min(v.size(), Distinct(v)));
+  }
+}
+
+TEST(AnswerCurveTest, AddFollowsTheElementwiseBatchRule) {
+  Rng rng(16);
+  for (int trial = 0; trial < 1000; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::vector<uint64_t> a = RandomCurve(rng);
+    const std::vector<uint64_t> b = RandomCurve(rng);
+    // The dense rule BatchStats used before curves were stored as steps: a
+    // shorter curve continues flat at its last count, an empty one adds 0.
+    std::vector<uint64_t> acc = a;
+    if (!b.empty()) {
+      if (b.size() > acc.size()) {
+        const uint64_t tail = acc.empty() ? 0 : acc.back();
+        acc.resize(b.size(), tail);
+      }
+      for (size_t i = 0; i < acc.size(); ++i) {
+        acc[i] += i < b.size() ? b[i] : b.back();
+      }
+    }
+    AnswerCurve sum = Record(a);
+    sum.Add(Record(b));
+    EXPECT_EQ(Dense(sum), acc);
+    EXPECT_EQ(sum, Record(acc));  // one stored form per curve
+    EXPECT_LE(sum.steps(), std::min(acc.size(), Distinct(acc)));
+  }
 }
 
 void ExpectSameStats(const EvalStats& a, const EvalStats& b) {

@@ -61,31 +61,61 @@ TEST(SharedAdjacencyTest, MatchesDirectProbesInOrder) {
   }
 }
 
-TEST(SharedAdjacencyTest, ChainedLayerCoversDeltaRowsOnly) {
-  auto base = std::make_shared<Relation>(2);
-  for (SymbolId i = 0; i < 6; ++i) base->Insert(Tuple{i, i + 1});
-  base->Freeze();
-  auto base_adj = std::make_shared<SharedAdjacency>(base.get());
-  base_adj->EnsureBuilt();
-
-  auto delta = Relation::Extend(base);
-  delta->Insert(Tuple{2, 50});  // second successor for 2, after {2, 3}
-  delta->Insert(Tuple{50, 0});
-  delta->Freeze();
-  SharedAdjacency chained(delta.get(), base_adj);
-  EXPECT_EQ(chained.chain_depth(), 1u);
-  chained.EnsureBuilt();
-  for (SymbolId c = 0; c <= 51; ++c) {
+// Probes every id from 0 to one past the largest, both directions, against
+// the relation's own index probes.
+void ExpectMatchesDirectProbes(const SharedAdjacency& adj, const Relation& rel,
+                               SymbolId largest) {
+  for (SymbolId c = 0; c <= largest + 1; ++c) {
     std::vector<SymbolId> succ, pred;
-    chained.ForEachSucc(c, [&](SymbolId v) { succ.push_back(v); });
-    chained.ForEachPred(c, [&](SymbolId u) { pred.push_back(u); });
-    EXPECT_EQ(succ, DirectSuccessors(*delta, c)) << "succ of " << c;
-    EXPECT_EQ(pred, DirectPredecessors(*delta, c)) << "pred of " << c;
+    adj.ForEachSucc(c, [&](SymbolId v) { succ.push_back(v); });
+    adj.ForEachPred(c, [&](SymbolId u) { pred.push_back(u); });
+    EXPECT_EQ(succ, DirectSuccessors(rel, c)) << "succ of " << c;
+    EXPECT_EQ(pred, DirectPredecessors(rel, c)) << "pred of " << c;
+  }
+}
+
+TEST(SharedAdjacencyTest, ChainedLayerCoversDeltaRowsOnly) {
+  // Each layer's offsets span only its own keys, so a chain whose deltas
+  // land below, inside and above the earlier spans (and one with no rows
+  // at all) must still enumerate exactly what the relation does.
+  auto base = std::make_shared<Relation>(2);
+  for (SymbolId i = 10; i < 16; ++i) base->Insert(Tuple{i, i + 1});
+  base->Freeze();
+  auto adj = std::make_shared<SharedAdjacency>(base.get());
+  adj->EnsureBuilt();
+  ExpectMatchesDirectProbes(*adj, *base, 16);
+
+  const std::vector<std::vector<Tuple>> deltas = {
+      {{3, 12}, {4, 3}},      // below the base span in both directions
+      {{12, 40}, {13, 11}},   // keys inside it; a second successor for 12
+      {},                     // an empty layer
+      {{60, 61}, {61, 10}},   // above every earlier span
+      {{4, 4}, {3, 4}},       // only old low ids
+  };
+  std::shared_ptr<const Relation> rel = base;
+  for (size_t k = 0; k < deltas.size(); ++k) {
+    SCOPED_TRACE("layer " + std::to_string(k + 1));
+    auto delta = Relation::Extend(rel);
+    for (const Tuple& t : deltas[k]) ASSERT_TRUE(delta->Insert(t));
+    delta->Freeze();
+    ASSERT_EQ(delta->base(), rel);  // chained, not flattened
+    adj = std::make_shared<SharedAdjacency>(delta.get(), adj);
+    EXPECT_EQ(adj->chain_depth(), k + 1);
+    adj->EnsureBuilt();
+    rel = delta;
+    ExpectMatchesDirectProbes(*adj, *rel, 61);
   }
   // Base rows enumerate before delta rows (global insertion order).
-  std::vector<SymbolId> two;
-  chained.ForEachSucc(2, [&](SymbolId v) { two.push_back(v); });
-  EXPECT_EQ(two, (std::vector<SymbolId>{3, 50}));
+  std::vector<SymbolId> twelve;
+  adj->ForEachSucc(12, [&](SymbolId v) { twelve.push_back(v); });
+  EXPECT_EQ(twelve, (std::vector<SymbolId>{13, 40}));
+
+  // The flatten path: one standalone memo over the compacted copy.
+  auto flat = rel->Flatten();
+  flat->Freeze();
+  SharedAdjacency standalone(flat.get());
+  standalone.EnsureBuilt();
+  ExpectMatchesDirectProbes(standalone, *flat, 61);
 }
 
 TEST(SharedAdjacencyTest, ConcurrentBuildAndProbeAgree) {

@@ -141,6 +141,9 @@ TEST(ServiceTest, BatchMatchesSingleThreadedOnFig7Samples) {
     EXPECT_EQ(seq_stats.total.arcs, par_stats.total.arcs);
     EXPECT_EQ(seq_stats.total.iterations, par_stats.total.iterations);
     EXPECT_EQ(seq_stats.total.expansions, par_stats.total.expansions);
+    EXPECT_EQ(seq_stats.total.answers_per_iteration,
+              par_stats.total.answers_per_iteration);
+    EXPECT_EQ(seq_stats.total.answers_per_iteration.back(), seq_stats.tuples);
   }
 }
 
