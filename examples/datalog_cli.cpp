@@ -727,6 +727,11 @@ int main(int argc, char** argv) {
     return DumpMetricsJson(metrics_json, &service);
   }
 
+  // The graph and transform strategies both run the engine: both honour
+  // --cyclic-bound and --max-iterations.
+  EvalOptions options;
+  options.use_cyclic_bound = cyclic_bound;
+  options.max_iterations = max_iterations;
   if (strategy == "graph") {
     QueryEngine engine(&db);
     if (Status s = engine.LoadProgram(rules_only); !s.ok()) {
@@ -737,9 +742,6 @@ int main(int argc, char** argv) {
                                                     db.symbols())
                               .c_str());
     }
-    EvalOptions options;
-    options.use_cyclic_bound = cyclic_bound;
-    options.max_iterations = max_iterations;
     for (const Literal& q : program.queries) {
       auto r = engine.Query(q, options);
       if (!r.ok()) return Fail(r.status().message());
@@ -769,7 +771,7 @@ int main(int argc, char** argv) {
     } else if (strategy == "magic") {
       r = MagicQuery(rules_only, db, q, &stats);
     } else if (strategy == "transform") {
-      auto t = EvaluateViaBinarization(rules_only, db, q);
+      auto t = EvaluateViaBinarization(rules_only, db, q, options);
       if (!t.ok()) return Fail(t.status().message());
       PrintAnswers(db, q, t.value().tuples);
       std::printf("  [transform] nodes=%llu iterations=%llu chain=%s\n",

@@ -6,7 +6,6 @@
 #include "eval/eval_artifacts.h"
 #include "eval/rex_image.h"
 #include "util/check.h"
-#include "util/dense_bits.h"
 #include "util/flat_set.h"
 
 namespace binchain {
@@ -149,14 +148,13 @@ Result<std::vector<TermId>> Engine::EvalFrom(SymbolId pred, TermId source,
     std::vector<uint64_t>().swap(rows_);
   }
   rows_used_ = 0;
-  // W covers the pool and, through the symbol count, every unary term the
-  // epoch's constants can still intern: a query on a cold registry interns
-  // its terms as it goes, and they should land in rows, not the overflow.
-  width_ = static_cast<TermId>(std::min<size_t>(
-      std::max(views_->pool().size(), views_->symbols().size()), kRowTag));
+  // W is the symbol count: every unary term (its own constant) fits, and
+  // every tuple term lies past it (a tagged id is at least kTupleTag).
+  static_assert(TermPool::kTupleTag == kRowTag);
+  width_ = static_cast<TermId>(
+      std::min<size_t>(views_->symbols().size(), kRowTag));
   row_words_ = (width_ + 63) / 64;
   g_.clear();
-  answer_set_.clear();
   copies_.clear();
   copy_of_.clear();
   child_.clear();
@@ -221,7 +219,7 @@ Result<std::vector<TermId>> Engine::EvalFrom(SymbolId pred, TermId source,
   auto try_insert = [&](uint32_t q, TermId u) {
     if (!InsertNode(q, u, st.nodes)) return;
     ++st.nodes;
-    if (q == final_state && !answer_set_.TestAndSet(u)) answers.push_back(u);
+    if (q == final_state) answers.push_back(u);
     stack_.emplace_back(q, u);
   };
 

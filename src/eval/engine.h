@@ -27,14 +27,16 @@
 // global state: each state has one 32-bit slot holding its first term
 // inline; a second distinct term promotes the state to a row, a bitset
 // over the term ids [0, W), carved from an arena reused across queries.
-// W, fixed at query start, is the larger of the term-pool size and the
-// symbol count, so the unary terms a cold registry interns mid-query still
-// fit. Terms with ids >= W, and states whose row would push the arena past
+// W, fixed at query start, is the symbol count: a unary term's id is its
+// constant, so every constant of the epoch fits. Tuple terms (tagged ids,
+// storage/term_pool.h), and states whose row would push the arena past
 // what a hash set spends on the nodes inserted so far, fall back to an
 // open-addressed overflow set. A node insert is thus one slot load and one
 // bit test on the common path, and node-set memory stays O(|G|) however
 // large W is. The dense path therefore needs |G| large against W: a query
 // that reaches few of many loaded constants runs on the overflow set.
+// Node (final state, u) is inserted at most once, so the node set also
+// dedups the answers.
 #ifndef BINCHAIN_EVAL_ENGINE_H_
 #define BINCHAIN_EVAL_ENGINE_H_
 
@@ -49,7 +51,6 @@
 #include "eval/answer_curve.h"
 #include "eval/relation_view.h"
 #include "util/cancel_token.h"
-#include "util/dense_bits.h"
 #include "util/flat_set.h"
 #include "util/status.h"
 
@@ -226,7 +227,6 @@ class Engine {
   uint32_t rows_used_ = 0;
   TermId width_ = 0;            // W: ids below it may take a slot or row
   FlatSet64 g_;                 // overflow nodes of G(p, a, i)
-  DenseBits answer_set_;
   std::vector<Copy> copies_;       // copies_[0] is the root M(e_p)
   std::vector<uint32_t> copy_of_;  // global state -> copy index
   std::vector<uint32_t> child_;    // global state -> expanding copy, or kNone

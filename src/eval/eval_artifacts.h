@@ -7,8 +7,8 @@
 // everything immutable-per-snapshot lives in an EvalArtifacts object that
 // is built when an epoch freezes, attached to the Database through the
 // type-erased SnapshotArtifact slot, and shared read-only by every worker
-// bound to that epoch. Workers keep only cheap mutable scratch (term pool,
-// engine node sets).
+// bound to that epoch. Workers keep only cheap mutable scratch (the pool
+// of tuple terms, engine node sets).
 //
 // Thread safety is by construction, in two patterns:
 //   - fill-once cells (SharedOnce, SharedAdjacency): a mutex serializes the
@@ -81,8 +81,8 @@ class SharedOnce {
   mutable std::unique_ptr<V> storage_;
 };
 
-/// All-pairs closure result of one derived predicate (TryAllPairsClosure),
-/// stored as SymbolId pairs so it is meaningful in every worker's term pool.
+/// All-pairs closure result of one derived predicate (TryAllPairsClosure):
+/// pairs of constants, which are their own unary terms in every worker.
 struct ClosureValue {
   std::vector<std::pair<SymbolId, SymbolId>> pairs;  // sorted
   uint64_t nodes = 0;  // ClosureStats::nodes, replayed into EvalStats
@@ -157,11 +157,10 @@ class SharedAdjacency {
   mutable Csr fwd_, bwd_;
 };
 
-/// Shared demand-join memo: input tuple (by constant content, so the key is
-/// meaningful across worker term pools) -> output tuples. The first worker
-/// to evaluate a source publishes; later probes from any worker are served
-/// by pointer. Sharded so concurrent fills of distinct sources do not
-/// contend.
+/// Shared demand-join memo: input tuple (by constant content, since tuple
+/// terms are pool-local) -> output tuples. The first worker to evaluate a
+/// source publishes; later probes from any worker are served by pointer.
+/// Sharded so concurrent fills of distinct sources do not contend.
 class SharedDemandMemo {
  public:
   /// nullptr on miss; on hit, a pointer stable for the memo's lifetime

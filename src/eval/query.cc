@@ -22,10 +22,9 @@ class ShapingTermSink : public AnswerTermSink {
   /// kForward emits {fixed, term}; kInverted emits {term, fixed}.
   enum class Shape { kForward, kInverted };
 
-  ShapingTermSink(AnswerSink* sink, TermPool* pool,
-                  const SymbolTable* symbols, Shape shape, SymbolId fixed)
-      : sink_(sink), pool_(pool), symbols_(symbols), shape_(shape),
-        fixed_(fixed) {}
+  ShapingTermSink(AnswerSink* sink, const SymbolTable* symbols, Shape shape,
+                  SymbolId fixed)
+      : sink_(sink), symbols_(symbols), shape_(shape), fixed_(fixed) {}
 
   /// Drops terms whose constant differs from `to` (the p(a, b) membership
   /// filter, or the diagonal's y == x).
@@ -37,7 +36,7 @@ class ShapingTermSink : public AnswerTermSink {
   void OnTerms(const TermId* terms, size_t count) override {
     buf_.clear();
     for (size_t i = 0; i < count; ++i) {
-      SymbolId c = pool_->AsUnary(terms[i]);
+      SymbolId c = terms[i];  // a unary term is its constant
       if (filter_ && c != filter_to_) continue;
       if (shape_ == Shape::kForward) {
         buf_.push_back(Tuple{fixed_, c});
@@ -52,7 +51,6 @@ class ShapingTermSink : public AnswerTermSink {
 
  private:
   AnswerSink* sink_;
-  TermPool* pool_;
   const SymbolTable* symbols_;
   Shape shape_;
   SymbolId fixed_;
@@ -251,11 +249,10 @@ bool QueryEngine::TryAllPairsClosure(SymbolId pred, const Literal& query,
 
   bool diagonal = query.args[0].IsVar() && query.args[1].IsVar() &&
                   query.args[0] == query.args[1];
-  TermPool& pool = views_->pool();
 
   // Epoch-shared closure cache: the first worker runs Tarjan and publishes
-  // the pairs as SymbolIds (meaningful in every pool); everyone else — and
-  // every later all-free query of the epoch — replays the shared value.
+  // the pairs; everyone else — and every later all-free query of the
+  // epoch — replays the shared value.
   // Without artifacts the same value is simply computed locally.
   const SharedClosure* cache =
       artifacts_ != nullptr ? artifacts_->Closure(pred) : nullptr;
@@ -277,11 +274,7 @@ bool QueryEngine::TryAllPairsClosure(SymbolId pred, const Literal& query,
       return false;
     }
     local.nodes = stats.nodes;
-    local.pairs.reserve(pairs.value().size());
-    for (auto [u, w] : pairs.value()) {
-      local.pairs.emplace_back(pool.AsUnary(u), pool.AsUnary(w));
-    }
-    std::sort(local.pairs.begin(), local.pairs.end());
+    local.pairs = pairs.take();  // sorted constant pairs already
     v = cache != nullptr ? cache->Publish(std::move(local)) : &local;
   }
   answer->stats.nodes = v->nodes;
@@ -350,38 +343,30 @@ Result<QueryAnswer> QueryEngine::Query(const Literal& query,
 
   const Term& a0 = query.args[0];
   const Term& a1 = query.args[1];
-  TermPool& pool = views_->pool();
-
-  auto term_const = [&](TermId id) { return pool.AsUnary(id); };
 
   if (a0.IsConst()) {
     // p(a, Y) or p(a, b).
     EvalOptions opts = options;
-    ShapingTermSink shaping(options.sink, &pool, &db_->symbols(),
+    ShapingTermSink shaping(options.sink, &db_->symbols(),
                             ShapingTermSink::Shape::kForward, a0.symbol);
     if (a1.IsConst()) shaping.FilterTo(a1.symbol);
     if (options.sink != nullptr) opts.term_sink = &shaping;
-    auto r = engine_->EvalFrom(pred, pool.Unary(a0.symbol), opts,
-                               &answer.stats);
+    auto r = engine_->EvalFrom(pred, a0.symbol, opts, &answer.stats);
     if (!r.ok()) return r.status();
-    for (TermId y : r.value()) {
-      SymbolId c = term_const(y);
+    for (SymbolId c : r.value()) {
       if (a1.IsConst() && c != a1.symbol) continue;
       answer.tuples.push_back(Tuple{a0.symbol, c});
     }
   } else if (a1.IsConst()) {
     // p(X, b): evaluate the inverted system from b.
     EvalOptions opts = options;
-    ShapingTermSink shaping(options.sink, &pool, &db_->symbols(),
+    ShapingTermSink shaping(options.sink, &db_->symbols(),
                             ShapingTermSink::Shape::kInverted, a1.symbol);
     if (options.sink != nullptr) opts.term_sink = &shaping;
-    auto r = inv_engine_->EvalFrom(plan_->inverse_of.at(pred),
-                                   pool.Unary(a1.symbol), opts,
-                                   &answer.stats);
+    auto r = inv_engine_->EvalFrom(plan_->inverse_of.at(pred), a1.symbol,
+                                   opts, &answer.stats);
     if (!r.ok()) return r.status();
-    for (TermId x : r.value()) {
-      answer.tuples.push_back(Tuple{term_const(x), a1.symbol});
-    }
+    for (SymbolId c : r.value()) answer.tuples.push_back(Tuple{c, a1.symbol});
   } else if (!options.disable_closure_sharing &&
              TryAllPairsClosure(pred, query, options, &answer)) {
     // Handled by the shared Tarjan-condensation closure: no traversal to
@@ -396,11 +381,11 @@ Result<QueryAnswer> QueryEngine::Query(const Literal& query,
     for (SymbolId c : CandidateSources(pred)) {
       EvalStats stats;
       EvalOptions opts = options;
-      ShapingTermSink shaping(options.sink, &pool, &db_->symbols(),
+      ShapingTermSink shaping(options.sink, &db_->symbols(),
                               ShapingTermSink::Shape::kForward, c);
       if (diagonal) shaping.FilterTo(c);
       if (options.sink != nullptr) opts.term_sink = &shaping;
-      auto r = engine_->EvalFrom(pred, pool.Unary(c), opts, &stats);
+      auto r = engine_->EvalFrom(pred, c, opts, &stats);
       if (!r.ok()) return r.status();
       answer.stats.nodes += stats.nodes;
       answer.stats.arcs += stats.arcs;
@@ -410,8 +395,7 @@ Result<QueryAnswer> QueryEngine::Query(const Literal& query,
       answer.stats.em_states += stats.em_states;
       answer.stats.hit_iteration_cap |= stats.hit_iteration_cap;
       answer.stats.cancel_checks += stats.cancel_checks;
-      for (TermId y : r.value()) {
-        SymbolId yc = term_const(y);
+      for (SymbolId yc : r.value()) {
         if (diagonal && yc != c) continue;
         answer.tuples.push_back(Tuple{c, yc});
       }

@@ -10,37 +10,31 @@
 namespace binchain {
 
 void EdbBinaryView::ForEachSucc(TermId u, FunctionRef<void(TermId)> fn) {
-  const Tuple& t = pool_->Get(u);
-  if (t.size() != 1) return;  // non-constant term: no successors in an EDB
+  if (!TermPool::IsUnary(u)) return;  // tuple term: no successors in an EDB
   if (adj_ != nullptr) {
     // Snapshot-owned memo: same successors in the same order, one memo hit
     // in place of the per-tuple EDB fetches.
     adj_->EnsureBuilt();
-    adj_->ForEachSucc(t[0], [&](SymbolId c) { fn(pool_->Unary(c)); });
+    adj_->ForEachSucc(u, fn);
     return;
   }
-  const SymbolId key[2] = {t[0], 0};
-  rel_->ForEachMatch(0b01u, TupleRef(key, 2),
-                     [&](TupleRef m) { fn(pool_->Unary(m[1])); });
+  const SymbolId key[2] = {u, 0};
+  rel_->ForEachMatch(0b01u, TupleRef(key, 2), [&](TupleRef m) { fn(m[1]); });
 }
 
 void EdbBinaryView::ForEachPred(TermId v, FunctionRef<void(TermId)> fn) {
-  const Tuple& t = pool_->Get(v);
-  if (t.size() != 1) return;
+  if (!TermPool::IsUnary(v)) return;
   if (adj_ != nullptr) {
     adj_->EnsureBuilt();
-    adj_->ForEachPred(t[0], [&](SymbolId c) { fn(pool_->Unary(c)); });
+    adj_->ForEachPred(v, fn);
     return;
   }
-  const SymbolId key[2] = {0, t[0]};
-  rel_->ForEachMatch(0b10u, TupleRef(key, 2),
-                     [&](TupleRef m) { fn(pool_->Unary(m[0])); });
+  const SymbolId key[2] = {0, v};
+  rel_->ForEachMatch(0b10u, TupleRef(key, 2), [&](TupleRef m) { fn(m[0]); });
 }
 
 void EdbBinaryView::ForEachPair(FunctionRef<void(TermId, TermId)> fn) {
-  for (TupleRef t : rel_->tuples()) {
-    fn(pool_->Unary(t[0]), pool_->Unary(t[1]));
-  }
+  for (TupleRef t : rel_->tuples()) fn(t[0], t[1]);
 }
 
 const std::vector<SymbolId>& DemandJoinView::ActiveDomain() {
@@ -97,9 +91,6 @@ void DemandJoinView::ForEachSucc(TermId u, FunctionRef<void(TermId)> fn) {
     for (TermId v : it->second) fn(v);
     return;
   }
-  // By value: the computation below interns output terms, which may grow
-  // the pool and invalidate references into it (Tuple's small-buffer copy
-  // is cheap).
   Tuple in = pool_->Get(u);
   if (shared_ != nullptr) {
     // A worker anywhere already joined this source this epoch: intern its
@@ -171,7 +162,7 @@ void ViewRegistry::RebindOrCreateEdbView(SymbolId pred, const Relation* rel) {
     return;
   }
   if (views_.count(pred) > 0) return;  // custom view wins; leave it
-  auto view = std::make_unique<EdbBinaryView>(rel, &pool_);
+  auto view = std::make_unique<EdbBinaryView>(rel);
   EdbBinaryView* raw = view.get();
   Register(pred, std::move(view));
   edb_views_[pred] = raw;

@@ -49,11 +49,11 @@ class BinaryRelationView {
   virtual bool SupportsEnumerate() const { return true; }
 };
 
-/// Wraps a binary EDB relation; terms are unary (single constants).
+/// Wraps a binary EDB relation; its terms are unary, so each TermId it
+/// reads or emits is the constant itself. A tuple term has no arcs here.
 class EdbBinaryView : public BinaryRelationView {
  public:
-  EdbBinaryView(const Relation* rel, TermPool* pool)
-      : rel_(rel), pool_(pool) {}
+  explicit EdbBinaryView(const Relation* rel) : rel_(rel) {}
 
   void ForEachSucc(TermId u, FunctionRef<void(TermId)> fn) override;
   void ForEachPred(TermId v, FunctionRef<void(TermId)> fn) override;
@@ -73,7 +73,6 @@ class EdbBinaryView : public BinaryRelationView {
 
  private:
   const Relation* rel_;
-  TermPool* pool_;
   const SharedAdjacency* adj_ = nullptr;
 };
 
@@ -106,7 +105,7 @@ class DemandJoinView : public BinaryRelationView {
   const Status& status() const { return status_; }
 
   /// Binds an epoch-shared demand memo. The private per-source memo_ stays
-  /// (TermIds are pool-local); the shared memo is keyed by input-tuple
+  /// (tuple terms are pool-local); the shared memo is keyed by input-tuple
   /// *content*, so a source any worker evaluated is joined exactly once per
   /// epoch — the Section-4 "no fact fetched twice" discipline extended
   /// across workers.
@@ -132,8 +131,9 @@ class DemandJoinView : public BinaryRelationView {
   Status status_ = Status::Ok();
 };
 
-/// Name -> view registry plus the shared term pool. Owned by the evaluation
-/// session (QueryEngine / transformed-program evaluator).
+/// Name -> view registry plus the pool its demand views intern tuple terms
+/// into. Owned by the evaluation session (QueryEngine / transformed-program
+/// evaluator).
 class ViewRegistry {
  public:
   explicit ViewRegistry(SymbolTable* symbols) : symbols_(symbols) {}
@@ -191,12 +191,12 @@ class ViewRegistry {
 
   /// Epoch-stamped visited marks reused across set-at-a-time traversals
   /// (ImageUnderRex): bumping the epoch "clears" them in O(1), so each
-  /// call costs O(nodes visited), not O(term-pool size). Not reentrant —
-  /// one traversal at a time per registry (which is how the level-based
-  /// strategies and the cyclic bound use it).
+  /// call costs O(nodes visited), not O(symbol count). Only unary terms
+  /// are stamped here; tuple terms carry a tagged id that must never size
+  /// an array. Not reentrant — one traversal at a time per registry (which
+  /// is how the level-based strategies and the cyclic bound use it).
   struct TraversalScratch {
-    std::vector<uint32_t> node_stamp;  // indexed term * num_states + state
-    std::vector<uint32_t> term_stamp;  // indexed term
+    std::vector<uint32_t> node_stamp;  // indexed constant * num_states + state
     uint32_t epoch = 0;
   };
   TraversalScratch& scratch() const { return scratch_; }

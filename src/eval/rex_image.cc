@@ -5,13 +5,14 @@
 #include <vector>
 
 #include "automata/nfa.h"
+#include "util/flat_set.h"
 
 namespace binchain {
 namespace {
 
 /// Marks `i` in the epoch-stamped array; returns true if already marked
-/// this epoch. Ids above the current capacity (terms interned
-/// mid-traversal) grow the array transparently.
+/// this epoch. Ids above the current capacity grow the array
+/// transparently.
 bool Stamp(std::vector<uint32_t>& stamps, size_t i, uint32_t epoch) {
   if (i >= stamps.size()) {
     stamps.resize(std::max(i + 1, stamps.size() * 2), 0);
@@ -37,25 +38,28 @@ Result<std::vector<TermId>> ImageUnderRex(const ViewRegistry& views,
   // The (state, term) seen-set lives in the registry's epoch-stamped
   // scratch: clearing is an epoch bump, so a call touching few nodes pays
   // for few nodes (the level strategies issue many small-frontier calls).
+  // Tuple terms' tagged ids would size that array by 2^31, so their nodes
+  // go to a local hash set instead.
   const size_t num_states = nfa.NumStates();
   ViewRegistry::TraversalScratch& sc = views.scratch();
   if (++sc.epoch == 0) {  // wrapped: do the rare real clear
     std::fill(sc.node_stamp.begin(), sc.node_stamp.end(), 0);
-    std::fill(sc.term_stamp.begin(), sc.term_stamp.end(), 0);
     sc.epoch = 1;
   }
   const uint32_t epoch = sc.epoch;
+  FlatSet64 tuple_nodes;
   std::vector<std::pair<uint32_t, TermId>> stack;
   std::vector<TermId> out;
   auto visit = [&](uint32_t q, TermId u) {
-    if (Stamp(sc.node_stamp, static_cast<size_t>(u) * num_states + q,
-              epoch)) {
-      return;
-    }
+    const bool seen =
+        TermPool::IsUnary(u)
+            ? Stamp(sc.node_stamp, static_cast<size_t>(u) * num_states + q,
+                    epoch)
+            : !tuple_nodes.insert((static_cast<uint64_t>(q) << 32) | u);
+    if (seen) return;
     if (work != nullptr) ++*work;
-    if (q == nfa.final() && !Stamp(sc.term_stamp, u, epoch)) {
-      out.push_back(u);
-    }
+    // (final, u) is visited once, so `out` needs no dedup of its own.
+    if (q == nfa.final()) out.push_back(u);
     stack.emplace_back(q, u);
   };
   for (TermId s : sources) visit(nfa.initial(), s);

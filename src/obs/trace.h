@@ -48,7 +48,9 @@ inline constexpr size_t kSpanRingCapacity = 256;
 struct QueryTrace {
   uint64_t query_id = 0;  ///< unique within the process, assigned at submit
   uint32_t pred = 0;      ///< SymbolId of the queried predicate
-  uint32_t source = 0;    ///< TermId of the source constant
+  /// SymbolId of the bound constant: `a` for p(a, Y) and p(a, b), `b` for
+  /// p(X, b). 0 for an all-free query (0 is also a valid SymbolId).
+  uint32_t source = 0;
 
   /// Submission time in microseconds on the process steady clock — the
   /// same clock PublishTrace::start_us uses, so query and publish spans

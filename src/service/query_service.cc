@@ -701,9 +701,9 @@ void QueryService::RunOne(size_t worker_id, AsyncQueryState& q) {
   Worker& w = *workers_[worker_id];
   if (live_ != nullptr && w.bound_epoch != qdb->epoch()) {
     // Epoch bump: re-point this worker's views at the batch's snapshot.
-    // Term pool, compiled machines, and rex cache survive — the epoch
-    // extends the same symbol-id space — so this is O(#relations), not a
-    // per-query rebuild.
+    // Compiled machines, the rex cache and the pool of tuple terms survive
+    // (unary terms are the epoch's own SymbolIds, which extend the same
+    // id space), so this is O(#relations), not a per-query rebuild.
     if (Status s = w.engine.BindSnapshot(*qdb); !s.ok()) {
       resp.status = s;
       return;
@@ -717,8 +717,11 @@ void QueryService::RunOne(size_t worker_id, AsyncQueryState& q) {
     return;
   }
   resp.trace.pred = lit.predicate;
-  if (!lit.args.empty() && lit.args[0].IsConst()) {
-    resp.trace.source = lit.args[0].symbol;
+  for (const Term& arg : lit.args) {  // the first bound argument, if any
+    if (arg.IsConst()) {
+      resp.trace.source = arg.symbol;
+      break;
+    }
   }
   if (empty_ok) return;  // unknown constant: empty answer set
   // Thread the token and the streaming sink into the engine: the traversal
@@ -793,10 +796,10 @@ bool QueryService::TryServeFromCache(AsyncQueryState& q) {
   // original evaluation resolved them — a key match implies the same
   // spellings).
   if (auto p = q.batch->db->symbols().Find(q.request.pred)) r.trace.pred = *p;
-  if (!q.request.source.empty()) {
-    if (auto c = q.batch->db->symbols().Find(q.request.source)) {
-      r.trace.source = *c;
-    }
+  const std::string& bound =
+      q.request.source.empty() ? q.request.target : q.request.source;
+  if (!bound.empty()) {
+    if (auto c = q.batch->db->symbols().Find(bound)) r.trace.source = *c;
   }
   q.replayed = true;
   ReplayToSink(q);

@@ -1,8 +1,10 @@
 // Interning of *graph terms*. In the binary-chain engine a node is a pair
-// (automaton state, term). For plain binary programs a term is one constant;
-// after the Section-4 transformation a term is a tuple of constants, e.g.
-// t(S, DT). The TermPool interns both shapes into dense TermIds so the
-// traversal engine is oblivious to term structure.
+// (automaton state, term). For plain binary programs a term is one constant,
+// and its TermId is its SymbolId: no interning, no per-constant storage.
+// After the Section-4 transformation a term can be a tuple of constants,
+// e.g. t(S, DT); the TermPool interns those (any arity but 1, the empty
+// "t()" included) under ids tagged with bit 31, a range disjoint from every
+// SymbolId, so the traversal engine stays oblivious to term structure.
 #ifndef BINCHAIN_STORAGE_TERM_POOL_H_
 #define BINCHAIN_STORAGE_TERM_POOL_H_
 
@@ -18,38 +20,34 @@ using TermId = uint32_t;
 
 class TermPool {
  public:
+  /// Set on every tuple term's id, clear on every constant's.
+  static constexpr TermId kTupleTag = 1u << 31;
+
   TermPool() = default;
 
-  /// Interns a 1-constant term. Unary terms are the traversal hot path
-  /// (every EDB edge enumeration interns its endpoint), so they resolve
-  /// through a dense SymbolId-indexed cache instead of the tuple map.
-  TermId Unary(SymbolId c) {
-    if (c < unary_cache_.size() && unary_cache_[c] != kNoTerm) {
-      return unary_cache_[c];
-    }
-    TermId id = InternTuple(Tuple{c});
-    if (c >= unary_cache_.size()) unary_cache_.resize(c + 1, kNoTerm);
-    unary_cache_[c] = id;
-    return id;
-  }
+  /// True for a 1-constant term, whose id is the constant itself.
+  static bool IsUnary(TermId id) { return (id & kTupleTag) == 0; }
 
-  /// Interns a constant-vector term (possibly empty: the Section-4 "t()"
-  /// term produced when no arguments are bound/free).
+  /// The 1-constant term of `c` and back: identities, kept for callers that
+  /// spell the conversion out.
+  static TermId Unary(SymbolId c) { return c; }
+  static SymbolId AsUnary(TermId id) { return id; }
+
+  /// Interns a constant-vector term. A 1-constant vector is its constant;
+  /// any other arity (the empty Section-4 "t()" term included) gets a
+  /// tagged id.
   TermId InternTuple(const Tuple& t);
 
-  const Tuple& Get(TermId id) const { return terms_[id]; }
+  Tuple Get(TermId id) const {
+    return IsUnary(id) ? Tuple{id} : tuples_[id & ~kTupleTag];
+  }
 
-  /// For 1-constant terms, the constant itself.
-  SymbolId AsUnary(TermId id) const { return terms_[id][0]; }
-
-  size_t size() const { return terms_.size(); }
+  /// Tuple terms interned so far (constants take no pool space).
+  size_t size() const { return tuples_.size(); }
 
  private:
-  static constexpr TermId kNoTerm = 0xffffffffu;
-
-  std::vector<Tuple> terms_;
+  std::vector<Tuple> tuples_;
   std::unordered_map<Tuple, TermId, TupleHash> index_;
-  std::vector<TermId> unary_cache_;  // SymbolId -> TermId of its unary term
 };
 
 }  // namespace binchain

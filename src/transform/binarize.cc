@@ -207,7 +207,7 @@ Result<TransformedQueryResult> EvaluateViaBinarization(
     return true;
   };
   for (TermId y : answers.value()) {
-    const Tuple& free_vals = views.pool().Get(y);
+    Tuple free_vals = views.pool().Get(y);
     BINCHAIN_CHECK(free_vals.size() == bp.free_positions.size());
     Tuple full(query.args.size(), 0);
     for (size_t i = 0; i < bp.bound_positions.size(); ++i) {

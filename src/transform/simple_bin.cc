@@ -135,7 +135,7 @@ Result<std::vector<Tuple>> SimpleBinQuery(const Program& program, Database& db,
     for (TermId w : it->second) {
       if (!seen.insert(w).second) continue;
       stack.push_back(w);
-      const Tuple& node = pool.Get(w);
+      Tuple node = pool.Get(w);
       if (!node.empty() && node[0] == query.predicate) {
         Tuple args(node.begin() + 1, node.end());
         bool match = args.size() == query.args.size();

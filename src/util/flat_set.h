@@ -1,6 +1,8 @@
 // Open-addressed hash set over 64-bit keys. It holds the overflow nodes of
-// the engine's G(p, a, i) (eval/engine.h: term ids past the dense rows'
-// width, and states refused a row) and Hsu's visited set (eval/hsu.cc).
+// the engine's G(p, a, i) (eval/engine.h: tuple terms, whose tagged ids lie
+// past the dense rows' width, and states refused a row), the tuple-term
+// nodes of ImageUnderRex (eval/rex_image.cc) and Hsu's visited set
+// (eval/hsu.cc).
 // Compared with unordered_set<uint64_t> it stores keys inline in one
 // contiguous array: no node allocations, one cache line per probe.
 #ifndef BINCHAIN_UTIL_FLAT_SET_H_

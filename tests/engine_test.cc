@@ -241,8 +241,8 @@ void ExpectGolden(const QueryAnswer& a, const GoldenStats& g) {
 }
 
 // Runs `query` twice on one QueryEngine and pins both runs to `g`. The
-// first run meets a cold registry and interns its terms mid-query; the
-// second finds them interned. The node set must not care which.
+// first run meets a fresh engine; the second reuses its node-set arena and
+// view cache. The node set must not care which.
 void ExpectGoldenColdAndWarm(Database& db, const std::string& query,
                              const GoldenStats& g,
                              const EvalOptions& options = {}) {
@@ -442,9 +442,9 @@ class EngineRig {
 
   Engine NewEngine() { return Engine(&eqs_, &views_); }
 
-  // Interns `count` unrelated terms: unary terms of fresh constants, or
-  // (with `tuples`) pair terms, which grow the pool but not the symbol
-  // table.
+  // Pads the registry with `count` unrelated terms: fresh constants, which
+  // grow the symbol table and so W, or (with `tuples`) pair terms, which
+  // grow the pool but not the symbol table.
   void Pad(size_t count, bool tuples) {
     for (size_t i = 0; i < count; ++i, ++padded_) {
       if (tuples) {
@@ -495,12 +495,13 @@ std::vector<EngineRun> RunFig7bOnPaddedPool(size_t padding, bool tuples) {
 }
 
 TEST_F(EngineTest, NodeSetRowBoundOnLargePool) {
-  // With 2^17 terms in the pool a row spans 2^17 bits (16 KiB), more than
+  // With 2^17 padding constants a row spans 2^17 bits (16 KiB), more than
   // the row budget (16 B per node inserted so far) allows for most states
   // of this ~8.5k-node query, so most multi-term states stay in the
-  // overflow set. With pair-term padding the symbol table stays small, and
-  // the cold run interns the workload's unary terms past W, into the
-  // overflow set too. No padding may change the answer or any counter.
+  // overflow set. Pair-term padding fills the pool with 2^17 tagged tuple
+  // terms instead: W stays the symbol count, so the workload's unary terms
+  // keep their slots and rows. No padding may change the answer or any
+  // counter.
   std::vector<EngineRun> plain = RunFig7bOnPaddedPool(0, false);
   ASSERT_EQ(plain[1].answers.size(), 64u);
   for (bool tuples : {false, true}) {
@@ -513,6 +514,25 @@ TEST_F(EngineTest, NodeSetRowBoundOnLargePool) {
       ExpectSameStats(padded[i].stats, plain[i].stats);
     }
   }
+}
+
+TEST_F(EngineTest, BinaryQueriesInternNoTerms) {
+  // A unary term is its own constant: a cold registry answering every
+  // source of a binary-chain program, forward and inverted, interns
+  // nothing into its term pool.
+  workloads::Fig7b(db_, 64);
+  QueryEngine qe(&db_);
+  ASSERT_TRUE(qe.LoadProgramText(workloads::SgProgramText()).ok());
+  for (int i = 1; i <= 64; ++i) {
+    const std::string k = std::to_string(i);
+    auto forward = qe.Query("sg(a" + k + ", Y)");
+    ASSERT_TRUE(forward.ok()) << forward.status().message();
+    EXPECT_FALSE(forward.value().tuples.empty());
+    auto inverted = qe.Query("sg(X, b" + k + ")");
+    ASSERT_TRUE(inverted.ok()) << inverted.status().message();
+    EXPECT_FALSE(inverted.value().tuples.empty());
+  }
+  EXPECT_EQ(qe.views().pool().size(), 0u);
 }
 
 // Runs the rig's query on one reused engine and on a fresh engine per

@@ -205,6 +205,33 @@ TEST(ServiceTest, AllBindingPatternsThroughTheService) {
   }
 }
 
+TEST(ServiceTest, TraceSourceIsTheBoundConstant) {
+  // The span's source is the SymbolId of the bound argument on both bound
+  // patterns, evaluated or served from the answer cache.
+  Database db;
+  std::string a = workloads::Fig7c(db, 8);
+  QueryService::Options opts;
+  opts.num_threads = 2;
+  opts.answer_cache_bytes = 1 << 20;
+  QueryService service(&db, SgProgram(db), opts);
+  ASSERT_TRUE(service.status().ok());
+  const SymbolId a_id = *db.symbols().Find(a);
+  const SymbolId b_id = *db.symbols().Find("b1");
+  for (bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "cache hit" : "evaluated");
+    QueryResponse forward =
+        service.Eval(QueryRequest().set_pred("sg").set_source(a));
+    ASSERT_TRUE(forward.status.ok());
+    EXPECT_EQ(forward.trace.cache_hit, cached);
+    EXPECT_EQ(forward.trace.source, a_id);
+    QueryResponse inverted =
+        service.Eval(QueryRequest().set_pred("sg").set_target("b1"));
+    ASSERT_TRUE(inverted.status.ok());
+    EXPECT_EQ(inverted.trace.cache_hit, cached);
+    EXPECT_EQ(inverted.trace.source, b_id);
+  }
+}
+
 TEST(ServiceTest, DiagonalQueryFiltersToEqualPairs) {
   Database db;
   db.AddFact("flat", {"a", "a"});

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "storage/database.h"
 #include "storage/relation.h"
 #include "storage/symbol_table.h"
@@ -123,6 +125,34 @@ TEST(TermPoolTest, InternsUnaryAndTupleTerms) {
   EXPECT_EQ(pool.AsUnary(a), 7u);
   TermId empty = pool.InternTuple({});
   EXPECT_EQ(pool.Get(empty).size(), 0u);
+}
+
+TEST(TermPoolTest, UnaryTermsAreTheirConstants) {
+  TermPool pool;
+  for (SymbolId c : {0u, 7u, TermPool::kTupleTag - 1}) {
+    EXPECT_EQ(pool.InternTuple({c}), c);
+    EXPECT_TRUE(TermPool::IsUnary(c));
+    EXPECT_EQ(pool.Get(c), (Tuple{c}));
+  }
+  EXPECT_EQ(pool.size(), 0u);  // constants take no pool space
+}
+
+TEST(TermPoolTest, TupleTermsGetDistinctTaggedIds) {
+  TermPool pool;
+  const Tuple shapes[] = {Tuple{}, Tuple{7, 8}, Tuple{1, 2, 3, 4, 5}};
+  ASSERT_GT(shapes[2].size(), Tuple::kInlineCapacity);  // heap spill
+  std::set<TermId> ids;
+  for (const Tuple& t : shapes) {
+    TermId id = pool.InternTuple(t);
+    EXPECT_FALSE(TermPool::IsUnary(id));
+    EXPECT_NE(id & TermPool::kTupleTag, 0u);
+    EXPECT_EQ(pool.Get(id), t);
+    EXPECT_EQ(pool.InternTuple(t), id);  // interned once
+    ids.insert(id);
+  }
+  EXPECT_EQ(ids.size(), 3u);
+  pool.InternTuple({9});  // a constant: not counted
+  EXPECT_EQ(pool.size(), 3u);
 }
 
 }  // namespace

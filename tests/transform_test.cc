@@ -96,6 +96,31 @@ TEST_F(AdornTest, RejectsTwoDerivedLiterals) {
   EXPECT_FALSE(adorned.ok());
 }
 
+// Same-generation over arity-4 relations whose nodes are pairs (x, x):
+// the Section-4 transformation feeds the engine pair terms.
+constexpr char kSg2Program[] =
+    "sg2(X1, X2, Y1, Y2) :- flat2(X1, X2, Y1, Y2).\n"
+    "sg2(X1, X2, Y1, Y2) :- up2(X1, X2, Z1, Z2), sg2(Z1, Z2, W1, W2), "
+    "down2(W1, W2, Y1, Y2).\n";
+
+// Figure 8 over pair nodes: an up2-cycle of length m, a down2-cycle of
+// length n, and flat2((a_m, a_m), (b_n, b_n)).
+void PairFig8(Database& db, size_t m, size_t n) {
+  auto name = [](const char* prefix, size_t i) {
+    return prefix + std::to_string(i);
+  };
+  for (size_t i = 1; i <= m; ++i) {
+    std::string from = name("a", i), to = name("a", i % m + 1);
+    db.AddFact("up2", {from, from, to, to});
+  }
+  for (size_t i = 1; i <= n; ++i) {
+    std::string from = name("b", i), to = name("b", i == 1 ? n : i - 1);
+    db.AddFact("down2", {from, from, to, to});
+  }
+  std::string a = name("a", m), b = name("b", n);
+  db.AddFact("flat2", {a, a, b, b});
+}
+
 class BinarizeTest : public ::testing::Test {
  protected:
   Database db_;
@@ -184,6 +209,22 @@ TEST_F(BinarizeTest, AlternatingBindingsMatchSeminaive) {
   std::string q = "p(n1, Y)";
   EXPECT_EQ(Transformed(workloads::AlternatingProgramText(), q),
             Reference(workloads::AlternatingProgramText(), q));
+}
+
+TEST_F(BinarizeTest, CyclicPairTermsStopAtTheBound) {
+  // The cyclic bound's image traversals and the engine's node set both
+  // meet tuple terms here, whose tagged ids must never size an array.
+  PairFig8(db_, 5, 7);
+  const std::string q = "sg2(a1, a1, Y1, Y2)";
+  EvalOptions options;
+  options.use_cyclic_bound = true;
+  auto r = EvaluateViaBinarization(MustParse(kSg2Program, db_.symbols()), db_,
+                                   MustLiteral(q, db_.symbols()), options);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  EXPECT_EQ(r.value().tuples, Reference(kSg2Program, q));
+  EXPECT_EQ(r.value().tuples.size(), 7u);
+  EXPECT_EQ(r.value().stats.iterations, 35u);
+  EXPECT_EQ(r.value().stats.nodes, 721u);
 }
 
 TEST_F(BinarizeTest, NonChainProgramRejectedByDefault) {
