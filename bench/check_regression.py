@@ -39,6 +39,14 @@ fails (exit 1) on structural regressions that survive machine-speed noise:
   facade may cost wall time, never EDB retrievals or nodes of G(p, a, i);
 * ``bench_live``: the publish-scaling sanity flag, when present in both
   files, must not regress from sublinear to superlinear;
+* ``bench_live``: write amplification must not grow with the database —
+  the largest ladder train's ``compacted_rows_per_added_row`` (rows and
+  spellings chain compaction copied per one added) may exceed the
+  smallest's by at most ``WRITE_AMP_GROWTH_BOUND``, and the trains must
+  stay below the doubling rule so no root rewrite mixes in. Counted
+  copies, not time: deterministic on any machine. Size-tiered merges copy
+  what the deltas added whatever the root size; a policy that re-copies a
+  whole relation at the depth cap grows the ratio with the ladder;
 * ``bench_live``: the durable-publish block must report ``ok`` (the
   recovered tip renders identical to the pre-shutdown tip) and the
   no-fsync WAL overhead ratio — durable publish over in-memory publish,
@@ -336,11 +344,49 @@ def check_storage(baseline, smoke, errors):
 # over in-memory publish, as a within-run p50 ratio.
 DURABLE_OVERHEAD_BOUND = 1.25
 
+# The largest ladder train's compaction copies per added row may exceed
+# the smallest train's by at most this factor.
+WRITE_AMP_GROWTH_BOUND = 2.0
+
 # Metrics-enabled service throughput may cost at most this much over the
 # same batch with recording disabled (within-run best-of-reps ratio). The
 # design target is 1.01; the slack absorbs scheduler noise on small CI
 # runners, not real overhead.
 OBS_OVERHEAD_BOUND = 1.10
+
+
+def ladder_trains(doc):
+    """Part-1 publish trains that report write amplification, by size."""
+    trains = [b for b in doc.get("benchmarks", [])
+              if b.get("name", "").startswith("ladder/")
+              and "compacted_rows_per_added_row" in b]
+    return sorted(trains, key=lambda b: b.get("rows", 0))
+
+
+def check_write_amplification(baseline, smoke, errors):
+    trains = ladder_trains(smoke)
+    if len(trains) < 2:
+        if len(ladder_trains(baseline)) >= 2:
+            errors.append(
+                "live: baseline reports compacted_rows_per_added_row but the "
+                "smoke run has fewer than two ladder trains with it")
+        return
+    for t in trains:
+        if not t.get("below_doubling", False):
+            errors.append(
+                f"live: train '{t['name']}' reached the doubling rule, so "
+                "its compacted_rows_per_added_row mixes in a root rewrite; "
+                "run fewer publishes or a larger ladder")
+    small, large = trains[0], trains[-1]
+    small_ratio = small["compacted_rows_per_added_row"]
+    large_ratio = large["compacted_rows_per_added_row"]
+    if large_ratio > WRITE_AMP_GROWTH_BOUND * small_ratio:
+        errors.append(
+            "live: field 'compacted_rows_per_added_row' grows with the "
+            f"database: {small['name']}={small_ratio:.3f}, "
+            f"{large['name']}={large_ratio:.3f}, bound is "
+            f"x{WRITE_AMP_GROWTH_BOUND} — compaction is re-copying whole "
+            "relations instead of the layers the deltas added")
 
 
 def check_live(baseline, smoke, errors):
@@ -364,6 +410,7 @@ def check_live(baseline, smoke, errors):
         errors.append(
             "live: baseline has a durable_publish block but the smoke "
             "run produced none")
+    check_write_amplification(baseline, smoke, errors)
     base_scaling = baseline.get("publish_scaling", {})
     smoke_scaling = smoke.get("publish_scaling", {})
     if base_scaling.get("sublinear") and "sublinear" in smoke_scaling:

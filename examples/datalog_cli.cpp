@@ -300,7 +300,8 @@ int RunLiveRepl(SnapshotManager& manager, QueryService& service,
       std::printf(
           "epoch %llu published in %.3f ms: +%llu facts (%llu duplicate, "
           "%llu rejected), -%llu retracted (%llu missing), %llu new "
-          "symbols, %llu relation(s) layered, %llu flattened%s\n",
+          "symbols, %llu relation(s) layered, %llu flattened, %llu "
+          "merged (%llu rows compacted)%s\n",
           static_cast<unsigned long long>(ps.epoch), ps.wall_ms,
           static_cast<unsigned long long>(ps.facts_added),
           static_cast<unsigned long long>(ps.facts_duplicate),
@@ -310,6 +311,8 @@ int RunLiveRepl(SnapshotManager& manager, QueryService& service,
           static_cast<unsigned long long>(ps.new_symbols),
           static_cast<unsigned long long>(ps.relations_touched),
           static_cast<unsigned long long>(ps.relations_flattened),
+          static_cast<unsigned long long>(ps.relations_merged),
+          static_cast<unsigned long long>(ps.rows_compacted),
           wal_dir.empty()
               ? ""
               : (", commit " + std::to_string(ps.commit_ms) + " ms").c_str());

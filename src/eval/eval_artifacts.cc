@@ -31,6 +31,18 @@ std::vector<SymbolId> TransitiveBasePreds(const EquationSystem& eqs,
   return out;
 }
 
+namespace {
+
+/// True if `layer` is `rel` or one of the layers of its base chain.
+bool IsChainLayer(const Relation* layer, const Relation* rel) {
+  for (; rel != nullptr; rel = rel->base().get()) {
+    if (rel == layer) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 SharedAdjacency::SharedAdjacency(const Relation* rel)
     : rel_(rel), total_rows_(rel->size()) {
   BINCHAIN_CHECK(rel_->frozen());
@@ -108,8 +120,8 @@ void SharedAdjacency::ForEachSucc(SymbolId u,
   BINCHAIN_DCHECK(built());
   EvalArtifacts::BumpThreadMemoHits();
   // Base layers hold older rows; emitting them first preserves global
-  // insertion order. The chain is shallow (flatten policy), so a small
-  // fixed stack suffices.
+  // insertion order. The chain is no deeper than the relation's, so a
+  // small fixed stack suffices.
   const SharedAdjacency* layers[RowRange::kMaxSegments];
   size_t n = 0;
   for (const SharedAdjacency* layer = this; layer != nullptr;
@@ -188,7 +200,7 @@ std::shared_ptr<const EvalArtifacts> EvalArtifacts::BuildFor(
     out->binary_.emplace_back(*id, rel);
     ++out->refresh_.adjacency_entries;
 
-    std::shared_ptr<SharedAdjacency> prev_adj;
+    std::shared_ptr<const SharedAdjacency> prev_adj;
     if (prev != nullptr) {
       auto pit = prev->adjacency_.find(*id);
       if (pit != prev->adjacency_.end()) prev_adj = pit->second;
@@ -197,35 +209,37 @@ std::shared_ptr<const EvalArtifacts> EvalArtifacts::BuildFor(
       // Untouched relation: the previous epoch's memo answers verbatim.
       out->adjacency_.emplace(*id, prev_adj);
       ++out->refresh_.adjacency_reused;
-    } else if (prev_adj != nullptr &&
-               rel->base().get() == prev_adj->relation() &&
-               rel->dead_mutations() ==
-                   prev_adj->relation()->dead_mutations() &&
-               !Relation::ShouldFlatten(
-                   prev_adj->chain_depth() + 1,
-                   rel->size() - prev_adj->root_rows(), prev_adj->root_rows(),
-                   Relation::kMaxChainDepth, Relation::kFlattenMinRows)) {
-      // Delta layer on the relation the old memo covered, with an
-      // *identical* dead set (equal mutation counts — count equality alone
-      // would miss a resurrect+delete pair): chain a memo layer over just
-      // the new rows. Built lazily, O(delta).
+      continue;
+    }
+    // The deepest previous memo layer whose relation is still a layer of
+    // `rel`'s chain: its rows are a prefix of `rel`'s. A fresh delta layer
+    // finds the previous top (O(delta) above it); after a merge, the layer
+    // the merged ones chained to (O(rows above it)). A flattened relation
+    // finds none. Every memo layer's relation is a layer of its top's
+    // chain, which the previous epoch pins, so the pointers compared here
+    // are all live.
+    std::shared_ptr<const SharedAdjacency> anchor = prev_adj;
+    while (anchor != nullptr && !IsChainLayer(anchor->relation(), rel)) {
+      anchor = anchor->base();
+    }
+    if (anchor != nullptr &&
+        anchor->relation()->dead_mutations() == rel->dead_mutations()) {
+      // Same dead set (equal mutation counts — count equality alone would
+      // miss a resurrect+delete pair): chain a memo layer over just the
+      // rows above the anchor. Built lazily.
       out->adjacency_.emplace(
-          *id, std::make_shared<SharedAdjacency>(rel, std::move(prev_adj)));
+          *id, std::make_shared<SharedAdjacency>(rel, std::move(anchor)));
       ++out->refresh_.adjacency_extended;
-    } else if (prev_adj != nullptr &&
-               rel->base().get() == prev_adj->relation() &&
-               rel->dead_mutations() !=
-                   prev_adj->relation()->dead_mutations()) {
-      // Shrunk path: same underlying chain, but the delta layer edited the
-      // tombstone set, which the old memo baked into its CSR at build time.
+    } else if (anchor != nullptr) {
+      // Shrunk path: same chain, but tombstones were edited since, and
+      // the old memo baked its dead set into its CSR at build time.
       // Rebuild this one relation's memo standalone (lazily); untouched
       // relations above still reused by pointer.
       out->adjacency_.emplace(*id, std::make_shared<SharedAdjacency>(rel));
       ++out->refresh_.adjacency_shrunk;
     } else {
-      // New relation, flattened relation, or a memo chain deep enough that
-      // the shared flatten policy says to compact: standalone rebuild
-      // (lazy; eager below for the first freeze).
+      // New or flattened relation: standalone rebuild (lazy; eager below
+      // for the first freeze).
       out->adjacency_.emplace(*id, std::make_shared<SharedAdjacency>(rel));
       ++out->refresh_.adjacency_rebuilt;
     }

@@ -21,11 +21,12 @@
 // the successor epoch in O(delta) via EvalArtifacts::BuildFor(next, plan,
 // prev) — entries whose underlying relations are untouched are shared by
 // pointer with the previous epoch (copy-on-write), entries whose relations
-// gained a delta layer are *extended* (a chained memo over just the delta
-// rows, mirroring Relation::Extend's layering and flatten policy), and only
-// replaced relations force a standalone rebuild. Closure / source caches
-// are invalidated per predicate, by intersecting the predicate's transitive
-// base-relation dependencies with the set of changed relations.
+// gained a delta layer are *extended* (a memo layer chained to the deepest
+// previous memo layer that still mirrors a layer of the relation's chain,
+// covering just the rows above it), and only flattened or new relations
+// force a standalone rebuild. Closure / source caches are invalidated per
+// predicate, by intersecting the predicate's transitive base-relation
+// dependencies with the set of changed relations.
 #ifndef BINCHAIN_EVAL_EVAL_ARTIFACTS_H_
 #define BINCHAIN_EVAL_EVAL_ARTIFACTS_H_
 
@@ -101,26 +102,29 @@ using SharedSources = SharedOnce<std::vector<SymbolId>>;
 /// EDB retrieval, which is why batch fetch counts drop.
 ///
 /// Across epochs the memo layers like the relation it mirrors: an entry for
-/// a delta-extended relation chains to the previous epoch's memo and builds
-/// CSR over only the delta rows (O(delta)); the shared flatten policy
-/// (Relation::ShouldFlatten) bounds chain depth. Each direction's offsets
-/// span only the keys [lo, hi] of the layer's live rows, so a delta layer
-/// costs O(delta rows + its key span), not one offset per symbol of the
-/// epoch; a delta whose keys span the whole id range costs what the root
-/// does.
+/// a delta-extended relation chains to the deepest previous memo layer
+/// whose relation is still a layer of the new relation's chain and builds
+/// CSR over only the rows above it — the delta, or the merged layers plus
+/// the delta after a size-tiered merge. Memo layers so always map onto
+/// relation layers, and the relation's chain bounds their depth. Each
+/// direction's offsets span only the keys [lo, hi] of the layer's live
+/// rows, so a delta layer costs O(delta rows + its key span), not one
+/// offset per symbol of the epoch; a delta whose keys span the whole id
+/// range costs what the root does.
 class SharedAdjacency {
  public:
   /// Standalone memo over `rel` (built lazily on first EnsureBuilt).
   explicit SharedAdjacency(const Relation* rel);
   /// Chained memo: `base` covers rel's first base->relation()->size() rows;
   /// this layer will index only the rows above that. `base->relation()`
-  /// must be an ancestor layer of `rel`.
+  /// must be a layer of `rel`'s base chain (or share its rows as a prefix
+  /// and outlive this memo) with the same dead set.
   SharedAdjacency(const Relation* rel,
                   std::shared_ptr<const SharedAdjacency> base);
 
   const Relation* relation() const { return rel_; }
+  const std::shared_ptr<const SharedAdjacency>& base() const { return base_; }
   size_t chain_depth() const { return base_ ? base_->chain_depth() + 1 : 0; }
-  size_t root_rows() const { return base_ ? base_->root_rows() : total_rows_; }
   size_t total_rows() const { return total_rows_; }
 
   bool built() const { return ready_.load(std::memory_order_acquire); }
@@ -195,8 +199,11 @@ class EvalArtifacts : public SnapshotArtifact {
   struct RefreshStats {
     uint64_t adjacency_entries = 0;
     uint64_t adjacency_reused = 0;    // relation untouched: shared by pointer
-    uint64_t adjacency_extended = 0;  // delta layer: chained memo, O(delta)
-    uint64_t adjacency_rebuilt = 0;   // new/replaced relation or flatten
+    /// Delta layer: memo chained to the deepest previous memo layer still
+    /// in the relation's chain, over the rows above it (O(delta), or the
+    /// merged layers' rows after a size-tiered merge).
+    uint64_t adjacency_extended = 0;
+    uint64_t adjacency_rebuilt = 0;   // new or flattened relation
     /// Retraction path: the delta layer tombstoned (or resurrected) rows,
     /// so the old memo chain — which baked the old dead set into its CSR —
     /// cannot be extended. Only this relation's memo rebuilds (lazily);
@@ -267,7 +274,8 @@ class EvalArtifacts : public SnapshotArtifact {
   std::shared_ptr<const PreparedProgram> plan_;
   std::vector<std::pair<SymbolId, const Relation*>> binary_;
   std::unordered_map<SymbolId, const Relation*> rel_by_id_;  // all arities
-  std::unordered_map<SymbolId, std::shared_ptr<SharedAdjacency>> adjacency_;
+  std::unordered_map<SymbolId, std::shared_ptr<const SharedAdjacency>>
+      adjacency_;
   std::unordered_map<SymbolId, DerivedEntry> derived_;
   mutable std::mutex demand_mu_;
   mutable std::unordered_map<SymbolId, std::unique_ptr<SharedDemandMemo>>

@@ -29,6 +29,7 @@ struct LiveObs {
   obs::Counter* facts_deleted;
   obs::Counter* facts_duplicate;
   obs::Counter* facts_rejected;
+  obs::Counter* compacted_rows;
   obs::Histogram* publish_ms;
   obs::Gauge* epoch;
   obs::Gauge* pending;
@@ -51,6 +52,9 @@ struct LiveObs {
     facts_rejected =
         r.GetCounter("binchain_live_facts_rejected_total",
                      "Staged facts rejected (arity mismatch)");
+    compacted_rows = r.GetCounter(
+        "binchain_live_compacted_rows_total",
+        "Rows and spellings copied by chain compaction (merges, flattens)");
     publish_ms = r.GetHistogram(
         "binchain_live_publish_ms",
         "Publish latency, stage swap to tip swap (successful publishes)");
@@ -196,6 +200,8 @@ PublishStats SnapshotManager::Publish() {
     span.facts_added = stats.facts_added;
     span.facts_deleted = stats.facts_deleted;
     span.relations_touched = stats.relations_touched;
+    span.relations_merged = stats.relations_merged;
+    span.rows_compacted = stats.rows_compacted;
     span.refused = refused;
     publish_recorder_.Record(span);
   };
@@ -250,12 +256,30 @@ PublishStats SnapshotManager::Publish() {
   }
   next->PruneEmptyDeltas();
   stats.new_symbols = next->symbols().size() - symbols_before;
+  // Compaction is read off the new layers' bases: a flattened layer is
+  // standalone (it copied the predecessor's live rows), a layer over
+  // merged layers sits on a base the predecessor never had (which holds
+  // exactly the rows the merge copied).
   for (const std::string& name : next->relation_names()) {
     if (next->SharesWithBase(name)) continue;
     ++stats.relations_touched;
     const Relation* rel = next->Find(name);
-    if (rel->base() == nullptr && base->Find(name) != nullptr) {
+    const Relation* prev = base->Find(name);
+    if (prev == nullptr) continue;  // created by this publish
+    if (rel->base() == nullptr) {
       ++stats.relations_flattened;
+      stats.rows_compacted += prev->live_size();
+    } else if (rel->base().get() != prev) {
+      ++stats.relations_merged;
+      stats.rows_compacted += rel->base()->local_size();
+    }
+  }
+  const SymbolTable& symbols = next->symbols();
+  if (&symbols != &base->symbols()) {  // not pruned: it interned something
+    if (symbols.base() == nullptr) {
+      stats.rows_compacted += symbols_before;
+    } else if (symbols.base().get() != &base->symbols()) {
+      stats.rows_compacted += symbols.base()->local_size();
     }
   }
   auto t1 = std::chrono::steady_clock::now();
@@ -319,6 +343,7 @@ PublishStats SnapshotManager::Publish() {
   o.facts_deleted->Inc(stats.facts_deleted);
   o.facts_duplicate->Inc(stats.facts_duplicate);
   o.facts_rejected->Inc(stats.facts_rejected);
+  o.compacted_rows->Inc(stats.rows_compacted);
   o.publish_ms->Observe(stats.wall_ms);
   o.epoch->Set(static_cast<int64_t>(stats.epoch));
   record_span(/*refused=*/false);

@@ -12,8 +12,10 @@
 // atomically swaps the successor in as the serving tip. In-flight queries
 // keep the shared_ptr epoch handle they acquired and finish on their old
 // epoch; new queries land on the new one. Publish cost is therefore
-// O(delta), not O(database): the occasional flatten (compaction) that
-// keeps layer chains shallow is amortized against the rows that forced it.
+// O(delta), not O(database): chain compaction (storage/chain_compaction.h)
+// merges small delta layers into size-tiered ones, copying each row
+// O(log) times, and rewrites a root only by the doubling rule, amortized
+// O(1) per row; PublishStats reports what each publish copied.
 //
 // Thread safety: AddFact/PendingFacts/Acquire/epoch may be called from any
 // thread, concurrently with queries and with Publish. Publish itself is
@@ -51,7 +53,12 @@ struct PublishStats {
   uint64_t facts_delete_missing = 0;  // retractions of absent/dead facts
   uint64_t new_symbols = 0;       // fresh spellings interned by the delta
   uint64_t relations_touched = 0;    // relations that got a delta layer
-  uint64_t relations_flattened = 0;  // of those, compacted to standalone
+  uint64_t relations_flattened = 0;  // of those, rewritten as a new root
+  uint64_t relations_merged = 0;  // of those, chained onto merged layers
+  /// Write amplification of this publish: rows and spellings copied by
+  /// size-tiered merges and doubling-rule flattens (relations and the
+  /// symbol table). Not counted: the added facts themselves.
+  uint64_t rows_compacted = 0;
   double build_ms = 0;   // BeginDelta + inserts + prune
   double freeze_ms = 0;  // incremental index work on the delta layers
   /// Artifact-builder hook time (epoch-shared memo refresh). O(delta) by
@@ -152,10 +159,14 @@ class SnapshotManager {
   size_t PendingFacts() const;
 
   /// Merges every staged fact into a successor snapshot, freezes it
-  /// (incremental: only delta layers get index work), and atomically makes
-  /// it the serving tip. Runs concurrently with queries; epochs already
-  /// handed out stay valid and immutable. An empty delta still bumps the
-  /// epoch id but re-shares all storage (no chain growth).
+  /// (incremental: only delta layers and layers merged under them get index
+  /// work), and atomically makes it the serving tip. Runs concurrently with
+  /// queries; epochs already handed out stay valid and immutable. Only a
+  /// relation that changes gets a delta layer, and only a new spelling
+  /// gives the symbol table one; each chain is compacted just before its
+  /// new layer goes on top. An empty or duplicate-only delta still bumps
+  /// the epoch id but re-shares all storage: it layers, merges, flattens
+  /// and re-indexes nothing.
   PublishStats Publish();
 
   /// The current serving epoch. The returned handle pins the snapshot (and

@@ -87,6 +87,9 @@ void PublishTrace::RenderJson(std::string* out) const {
   out->append(", \"facts_deleted\": ").append(std::to_string(facts_deleted));
   out->append(", \"relations_touched\": ")
       .append(std::to_string(relations_touched));
+  out->append(", \"relations_merged\": ")
+      .append(std::to_string(relations_merged));
+  out->append(", \"rows_compacted\": ").append(std::to_string(rows_compacted));
   out->append(", \"refused\": ").append(refused ? "true" : "false");
   out->append("}");
 }
@@ -220,6 +223,8 @@ void RenderChromeTrace(const std::vector<QueryTrace>& queries,
         ", \"facts_added\": " + std::to_string(p.facts_added) +
         ", \"facts_deleted\": " + std::to_string(p.facts_deleted) +
         ", \"relations_touched\": " + std::to_string(p.relations_touched) +
+        ", \"relations_merged\": " + std::to_string(p.relations_merged) +
+        ", \"rows_compacted\": " + std::to_string(p.rows_compacted) +
         std::string(p.refused ? ", \"refused\": true" : "") + "}";
     AppendSlice(out, &first, kPublishTid, "publish",
                 "publish e" + std::to_string(p.epoch), start,

@@ -110,6 +110,8 @@ struct PublishTrace {
   uint64_t facts_added = 0;
   uint64_t facts_deleted = 0;
   uint64_t relations_touched = 0;  ///< relations that got a delta layer
+  uint64_t relations_merged = 0;   ///< of those, chained onto merged layers
+  uint64_t rows_compacted = 0;  ///< rows + spellings copied by compaction
   bool refused = false;  ///< durability commit refused; no tip swap happened
 
   /// One JSON object (no trailing newline), appended to *out.

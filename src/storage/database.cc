@@ -1,7 +1,5 @@
 #include "storage/database.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace binchain {
@@ -15,16 +13,8 @@ std::unique_ptr<Database> Database::BeginDelta(
 
   // Extend the symbol-id space: every id interned in any earlier epoch
   // keeps its meaning; only genuinely new spellings will be interned. The
-  // flatten policy bounds lookup cost the same way Relation::Extend does.
-  std::shared_ptr<const SymbolTable> base_syms = base->symbols_;
-  if (Relation::ShouldFlatten(base_syms->chain_depth() + 1,
-                              base_syms->size() - base_syms->root_size(),
-                              base_syms->root_size(), kMaxSymbolChainDepth,
-                              kFlattenMinSymbols)) {
-    base_syms->FlattenInto(next->symbols_.get());
-  } else {
-    next->symbols_->ChainTo(std::move(base_syms));
-  }
+  // chain is compacted when (and only if) the first one is.
+  next->symbols_->ChainTo(base->symbols_);
 
   // Share every relation; copy-on-write happens on first insert.
   next->relations_ = base->relations_;

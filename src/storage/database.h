@@ -159,13 +159,6 @@ class Database {
     return borrowed_.count(std::string(pred)) > 0;
   }
 
-  /// Symbol-layer compaction policy for BeginDelta, mirroring
-  /// Relation::Extend: flatten when the chain gets deeper than this ...
-  static constexpr size_t kMaxSymbolChainDepth = 8;
-  /// ... or when accumulated delta symbols reach
-  /// max(root_size, kFlattenMinSymbols).
-  static constexpr size_t kFlattenMinSymbols = 256;
-
  private:
   /// Copy-on-write step: if `name` is still shared with the base epoch,
   /// replace it with a delta layer owned by this epoch.

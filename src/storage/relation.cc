@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "storage/chain_compaction.h"
 #include "util/check.h"
 
 namespace binchain {
@@ -34,7 +35,10 @@ bool Relation::MaskedEquals(uint32_t mask, uint32_t row,
 }
 
 void Relation::DedupGrow() {
+  // Grows past the load factor for every local row at once, so a bulk
+  // append (MergeTop) rehashes a single time.
   size_t cap = dedup_.empty() ? 16 : dedup_.size() * 2;
+  while ((num_rows_ + 1) * 10 >= cap * 7) cap *= 2;
   dedup_.assign(cap, kNoRow);
   dedup_used_ = 0;
   size_t m = cap - 1;
@@ -54,18 +58,47 @@ std::shared_ptr<Relation> Relation::Extend(
     std::shared_ptr<const Relation> base) {
   BINCHAIN_CHECK(base != nullptr);
   BINCHAIN_CHECK(base->frozen());
-  // Tombstoned rows count into the accumulated delta: they are chain
-  // overhead exactly like appended rows (every probe filters them), so a
-  // delete-heavy chain compacts on the same doubling rule as an
-  // insert-heavy one. Flatten() drops the dead rows for good.
-  if (ShouldFlatten(base->chain_depth() + 1,
-                    base->size() - base->root_rows() + base->dead_count(),
-                    base->root_rows(), kMaxChainDepth, kFlattenMinRows)) {
-    return base->Flatten();
+  std::vector<size_t> deltas;  // local rows per delta layer, bottom first
+  const Relation* root = base.get();
+  for (; root->base_ != nullptr; root = root->base_.get()) {
+    deltas.push_back(root->num_rows_);
   }
+  std::reverse(deltas.begin(), deltas.end());
+  // Tombstoned rows count toward the doubling rule: they are chain
+  // overhead exactly like appended rows (every probe filters them), so a
+  // delete-heavy chain compacts on the same rule as an insert-heavy one.
+  // Flatten() drops the dead rows for good.
+  ChainCompaction plan =
+      PlanChainCompaction(deltas, root->num_rows_, base->dead_count(),
+                          kMaxChainDepth, kFlattenMinRows);
+  if (plan.flatten) return base->Flatten();
+  if (plan.merge > 0) base = base->MergeTop(plan.merge);
   // make_shared needs a public constructor; the chain constructor stays
   // private so layering is only reachable through the policy above.
-  return std::shared_ptr<Relation>(new Relation(std::move(base)));
+  const Relation& tip = *base;
+  return std::shared_ptr<Relation>(new Relation(std::move(base), tip));
+}
+
+std::shared_ptr<const Relation> Relation::MergeTop(size_t layers) const {
+  std::vector<const Relation*> merged;  // bottom first
+  const Relation* layer = this;
+  for (size_t i = 0; i < layers; ++i, layer = layer->base_.get()) {
+    BINCHAIN_CHECK(layer->base_ != nullptr);  // never merges into the root
+    merged.push_back(layer);
+  }
+  std::reverse(merged.begin(), merged.end());
+  std::shared_ptr<Relation> out(new Relation(merged.front()->base_, *this));
+  out->arena_.reserve((size() - out->base_rows_) * arity_);
+  // Physical rows in order, dead ones included: global row ids, the dead
+  // set copied from this layer and every index chain above stay valid.
+  for (const Relation* m : merged) {
+    out->arena_.insert(out->arena_.end(), m->arena_.begin(), m->arena_.end());
+    out->num_rows_ += m->num_rows_;
+  }
+  out->DedupGrow();
+  out->DemandChainMasks(*this);
+  out->Freeze();
+  return out;
 }
 
 std::shared_ptr<Relation> Relation::Flatten() const {
@@ -76,18 +109,19 @@ std::shared_ptr<Relation> Relation::Flatten() const {
   // flattening is also the compaction that drops dead rows for good — the
   // copy re-numbers the surviving rows and starts with an empty dead set.
   for (TupleRef t : tuples()) out->Insert(t);
-  // Re-demand every mask any layer of the chain had indexed. Freeze() of a
-  // wide relation (arity > kEagerFreezeArity) only catches up indexes that
-  // already exist, so without this a flattened-then-frozen relation would
-  // answer masks the chain served by index with wide fallback scans
-  // forever. Small arities skip it: their freeze pre-builds every mask.
-  if (arity_ > kEagerFreezeArity) {
-    for (const Relation* layer = this; layer != nullptr;
-         layer = layer->base_.get()) {
-      for (const MaskIndex& ix : layer->indexes_) out->IndexFor(ix.mask);
-    }
-  }
+  out->DemandChainMasks(*this);
   return out;
+}
+
+void Relation::DemandChainMasks(const Relation& chain) {
+  // Freeze() of a wide relation (arity > kEagerFreezeArity) only catches
+  // up indexes that already exist. Small arities skip this: their freeze
+  // pre-builds every mask.
+  if (arity_ <= kEagerFreezeArity) return;
+  for (const Relation* layer = &chain; layer != nullptr;
+       layer = layer->base_.get()) {
+    for (const MaskIndex& ix : layer->indexes_) IndexFor(ix.mask);
+  }
 }
 
 void Relation::Freeze() {

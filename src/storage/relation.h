@@ -19,7 +19,8 @@
 // order stays global insertion order. Base layers are immutable — an
 // extension never writes through its base — which is what lets consecutive
 // database epochs share unchanged storage. Chains are kept shallow by
-// Extend's flatten policy (see kMaxChainDepth / kFlattenMinRows).
+// Extend's compaction (storage/chain_compaction.h): small delta layers are
+// merged into size-tiered layers, and a doubling rule rewrites the root.
 //
 // Tombstone retraction: Delete(t) never rewrites the arena or any index —
 // it records the tuple's *global row id* in this layer's dead set, and
@@ -32,9 +33,10 @@
 // *resurrects* the existing physical row (erases the tombstone) instead of
 // appending a duplicate, so row-id arithmetic — base_size() offsets, index
 // chains, the CSR memos above — never sees two rows with one content.
-// Flatten() drops dead rows for good (the compaction path), and size()
-// deliberately stays physical so layer offsets keep their meaning;
-// live_size() reports the serving cardinality.
+// Flatten() (the doubling rule's root rewrite) drops dead rows for good; a
+// merge of delta layers copies them, so row ids never move between root
+// rewrites. size() deliberately stays physical so layer offsets keep their
+// meaning; live_size() reports the serving cardinality.
 //
 // Concurrency: a Relation is single-writer until Freeze(). Freeze eagerly
 // completes every lazy index (and pre-builds all bound-column masks for
@@ -77,7 +79,7 @@ class RowRange {
     size_t rows = 0;
     size_t global_start = 0;  // global row id of this segment's first row
   };
-  /// Base chain depth is bounded by Relation's flatten policy; one extra
+  /// Base chain depth is bounded by Relation::kMaxChainDepth; one extra
   /// slot for the local layer.
   static constexpr size_t kMaxSegments = 10;
 
@@ -200,11 +202,13 @@ class Relation {
 
   /// Delta extension of a frozen base: the new relation answers for every
   /// base row plus whatever is inserted into it, while storing (and later
-  /// indexing) only the delta. When the accumulated deltas of `base`'s
-  /// chain have grown past the flatten policy, returns a flattened
-  /// standalone copy instead so probe cost and chain depth stay bounded
-  /// (the O(total) copy is amortized against the rows that forced it).
-  /// The result is unfrozen; `base` is shared, never copied, never written.
+  /// indexing) only the delta. Before the new layer goes on top, the chain
+  /// is compacted as PlanChainCompaction decides: top delta layers of
+  /// similar size are merged into one frozen layer chained to the layer
+  /// below them (rows copied in order, dead rows included, so global row
+  /// ids, the dead set and dead_mutations() carry over), or — by the
+  /// doubling rule — the result is a flattened standalone copy instead.
+  /// The result is unfrozen; `base`'s layers are shared, never written.
   static std::shared_ptr<Relation> Extend(std::shared_ptr<const Relation> base);
 
   /// A standalone (chain-free), unfrozen relation holding every row of this
@@ -245,8 +249,6 @@ class Relation {
   size_t local_size() const { return num_rows_; }
   /// Layers above the standalone bottom of the chain.
   size_t chain_depth() const { return base_ ? base_->chain_depth() + 1 : 0; }
-  /// Size of the standalone bottom layer (the last flatten point).
-  size_t root_rows() const { return base_ ? base_->root_rows() : num_rows_; }
   const std::shared_ptr<const Relation>& base() const { return base_; }
 
   /// Live rows of the whole chain in global insertion order (tombstoned
@@ -340,24 +342,15 @@ class Relation {
   /// Largest arity for which Freeze() pre-builds every mask index.
   static constexpr size_t kEagerFreezeArity = 4;
 
-  /// Extend() flattens when the chain would exceed this many layers above
-  /// the standalone bottom. Must stay below RowRange::kMaxSegments.
+  /// No chain is ever more than this many layers above its standalone
+  /// bottom: Extend() merges top delta layers until the new layer fits
+  /// (PlanChainCompaction's depth cap). Must stay below
+  /// RowRange::kMaxSegments.
   static constexpr size_t kMaxChainDepth = 8;
-  /// ... or when the chain's accumulated delta rows reach
-  /// max(root_rows, kFlattenMinRows) — a doubling rule, so the O(total)
-  /// flatten is amortized O(1) per delta row.
+  /// Extend() rewrites the root (Flatten) when the chain's delta rows plus
+  /// tombstones reach max(root rows, kFlattenMinRows) — the doubling rule,
+  /// so the O(total) copy is amortized O(1) per delta row.
   static constexpr size_t kFlattenMinRows = 256;
-
-  /// The shared amortization rule behind both caps, also used by the
-  /// symbol-table compaction in Database::BeginDelta so the two policies
-  /// can never drift apart: flatten a chain `depth` layers deep holding
-  /// `delta` accumulated entries over a standalone bottom of `root`
-  /// entries when it is deeper than `max_depth` or the delta has reached
-  /// max(root, min_delta).
-  static bool ShouldFlatten(size_t depth, size_t delta, size_t root,
-                            size_t max_depth, size_t min_delta) {
-    return depth > max_depth || delta >= std::max(root, min_delta);
-  }
 
  private:
   static constexpr uint32_t kNoRow = 0xffffffffu;
@@ -431,20 +424,32 @@ class Relation {
     size_t used = 0;          // distinct keys (load-factor control)
   };
 
-  explicit Relation(std::shared_ptr<const Relation> base)
+  /// A layer over `base` inheriting the tombstones of `tip`: `base` itself
+  /// for a fresh delta layer, the top merged layer for a merge.
+  Relation(std::shared_ptr<const Relation> base, const Relation& tip)
       : arity_(base->arity()),
         base_rows_(base->size()),
         base_(std::move(base)) {
     BINCHAIN_CHECK(base_->frozen());
-    // Cumulative tombstones: start from the base's dead set so probes
+    // Cumulative tombstones: start from the tip's dead set so probes
     // through this layer consult exactly one set. The copy is O(dead),
-    // charged to the deletes that created it; the base's own set stays
+    // charged to the deletes that created it; the tip's own set stays
     // frozen for its epoch's readers.
-    if (base_->dead_ != nullptr && !base_->dead_->empty()) {
-      dead_ = std::make_unique<DeadSet>(*base_->dead_);
+    if (tip.dead_ != nullptr && !tip.dead_->empty()) {
+      dead_ = std::make_unique<DeadSet>(*tip.dead_);
     }
-    dead_mutations_ = base_->dead_mutations_;
+    dead_mutations_ = tip.dead_mutations_;
   }
+
+  /// A frozen layer holding the physical rows of this layer and the
+  /// `layers - 1` layers below it, in order, chained to the layer under
+  /// them, with this layer's tombstones.
+  std::shared_ptr<const Relation> MergeTop(size_t layers) const;
+
+  /// For arities above kEagerFreezeArity: indexes this (unfrozen) copy on
+  /// every mask any layer of `chain` had indexed, so a compacted copy never
+  /// demotes a previously indexed probe to the wide fallback scan.
+  void DemandChainMasks(const Relation& chain);
 
   TupleRef Row(uint32_t r) const {
     return TupleRef(arena_.data() + static_cast<size_t>(r) * arity_, arity_);

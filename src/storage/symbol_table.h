@@ -25,8 +25,12 @@ using SymbolId = uint32_t;
 /// fresh spellings intern into the local layer with ids continuing the
 /// global sequence — so successive database epochs *extend* one id space
 /// instead of re-interning, and every id minted in epoch N means the same
-/// thing in every later epoch. Base layers are immutable; chains are kept
-/// shallow by the epoch publisher's flatten policy (see chain_depth()).
+/// thing in every later epoch. Base layers are immutable. The chain is
+/// compacted by the policy relations use (PlanChainCompaction) at the one
+/// moment a delta layer becomes real — its first fresh spelling — so an
+/// epoch that interns nothing shares its base table untouched: small top
+/// layers are merged into one size-tiered layer, and the doubling rule
+/// rewrites the chain as a standalone root. Both keep every id.
 ///
 /// Thread safety: not synchronized. After Freeze() the table is immutable —
 /// Intern of an existing spelling degenerates to a lookup and is safe from
@@ -52,17 +56,16 @@ class SymbolTable {
   /// `base` must be frozen; its ids keep resolving unchanged.
   void ChainTo(std::shared_ptr<const SymbolTable> base);
 
-  /// Copies the whole chain into a standalone (chain-free) layer in id
-  /// order; ids are preserved. Used by the epoch publisher's compaction.
-  void FlattenInto(SymbolTable* out) const;
-
   /// Layers above the standalone bottom of the chain.
   size_t chain_depth() const { return base_ ? base_->chain_depth() + 1 : 0; }
   /// Symbols interned into this layer only.
   size_t local_size() const { return names_.size(); }
-  /// Size of the standalone bottom layer (the last flatten point).
-  size_t root_size() const { return base_ ? base_->root_size() : names_.size(); }
   const std::shared_ptr<const SymbolTable>& base() const { return base_; }
+
+  /// Chain compaction bounds, the symbol-table twins of
+  /// Relation::kMaxChainDepth and Relation::kFlattenMinRows.
+  static constexpr size_t kMaxChainDepth = 8;
+  static constexpr size_t kFlattenMinSpellings = 256;
 
   /// Returns the id of `s` if already interned anywhere in the chain.
   std::optional<SymbolId> Find(std::string_view s) const;
@@ -79,6 +82,15 @@ class SymbolTable {
   size_t size() const { return base_size_ + names_.size(); }
 
  private:
+  /// Appends a spelling known to be absent from the chain.
+  void AppendLocal(std::string_view s, std::optional<int64_t> value);
+  /// Appends every spelling of `layer`'s local layer, in id order.
+  void CopyLocal(const SymbolTable& layer);
+  /// Compacts the base chain before this empty delta layer interns its
+  /// first spelling: merges top layers into one layer, or flattens the
+  /// chain into this one; ids never change.
+  void CompactBase();
+
   std::shared_ptr<const SymbolTable> base_;  // frozen; null for standalone
   SymbolId base_size_ = 0;
   std::vector<std::string> names_;

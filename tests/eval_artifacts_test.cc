@@ -92,13 +92,18 @@ TEST(SharedAdjacencyTest, ChainedLayerCoversDeltaRowsOnly) {
       {{60, 61}, {61, 10}},   // above every earlier span
       {{4, 4}, {3, 4}},       // only old low ids
   };
+  // Extend may merge earlier delta layers (size tiers), so the memo chain
+  // below is built over each epoch's relation, kept alive here: its rows
+  // are a prefix of the next one's either way.
   std::shared_ptr<const Relation> rel = base;
+  std::vector<std::shared_ptr<const Relation>> epochs = {base};
   for (size_t k = 0; k < deltas.size(); ++k) {
     SCOPED_TRACE("layer " + std::to_string(k + 1));
     auto delta = Relation::Extend(rel);
     for (const Tuple& t : deltas[k]) ASSERT_TRUE(delta->Insert(t));
     delta->Freeze();
-    ASSERT_EQ(delta->base(), rel);  // chained, not flattened
+    ASSERT_NE(delta->base(), nullptr);  // chained, not flattened
+    epochs.push_back(delta);
     adj = std::make_shared<SharedAdjacency>(delta.get(), adj);
     EXPECT_EQ(adj->chain_depth(), k + 1);
     adj->EnsureBuilt();
@@ -247,6 +252,57 @@ TEST(EvalArtifactsTest, PublishInvalidatesOnlyDependentEntries) {
   EXPECT_EQ(a2->refresh_stats().adjacency_reused, 3u);
   EXPECT_EQ(a2->refresh_stats().derived_reused,
             a2->refresh_stats().derived_entries);
+}
+
+TEST(EvalArtifactsTest, MemoLayersFollowMergedRelationLayers) {
+  // Steady one-fact publishes merge relation layers (size tiers, depth
+  // cap). Each refresh must chain the new memo onto the deepest previous
+  // memo layer still in the relation's chain, so memo layers keep mapping
+  // onto relation layers and no compaction forces a full CSR rebuild.
+  auto genesis = std::make_unique<Database>();
+  workloads::Fig7c(*genesis, 12);
+  Program program =
+      ParseProgram(workloads::SgProgramText(), genesis->symbols()).take();
+  SnapshotManager manager(std::move(genesis));
+  QueryService::Options opts;
+  opts.num_threads = 1;
+  QueryService service(&manager, program, opts);
+  ASSERT_TRUE(service.status().ok()) << service.status().message();
+  SymbolId up = *manager.Acquire()->symbols().Find("up");
+
+  bool merged = false;
+  for (size_t i = 0; i < 3 * Relation::kMaxChainDepth; ++i) {
+    SCOPED_TRACE("publish " + std::to_string(i));
+    manager.AddFact("up", {"u" + std::to_string(i), "a1"});
+    PublishStats ps = manager.Publish();
+    merged |= ps.relations_merged > 0;
+    auto epoch = manager.Acquire();
+    auto arts = ArtifactsOf(manager);
+    ASSERT_NE(arts, nullptr);
+    EXPECT_EQ(arts->refresh_stats().adjacency_extended, 1u);
+    EXPECT_EQ(arts->refresh_stats().adjacency_rebuilt, 0u);
+    const Relation* rel = epoch->Find("up");
+    const SharedAdjacency* adj = arts->Adjacency(up);
+    ASSERT_EQ(adj->relation(), rel);
+    // Every memo layer mirrors a layer of the relation's chain, strictly
+    // further down at each step.
+    const Relation* below = rel;
+    for (const SharedAdjacency* layer = adj->base().get(); layer != nullptr;
+         layer = layer->base().get()) {
+      do {
+        below = below->base().get();
+      } while (below != nullptr && below != layer->relation());
+      ASSERT_NE(below, nullptr) << "memo layer off the relation's chain";
+    }
+    EXPECT_LE(adj->chain_depth(), rel->chain_depth());
+    // The tip answers like its relation.
+    adj->EnsureBuilt();
+    std::vector<SymbolId> preds;
+    adj->ForEachPred(*epoch->symbols().Find("a1"),
+                     [&](SymbolId u) { preds.push_back(u); });
+    EXPECT_EQ(preds, DirectPredecessors(*rel, *epoch->symbols().Find("a1")));
+  }
+  EXPECT_TRUE(merged);
 }
 
 TEST(EvalArtifactsTest, ServiceServesFromSharedArtifactsWithZeroFetches) {

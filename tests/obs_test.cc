@@ -570,6 +570,23 @@ TEST(PublishTraceTest, PublishRecordsAPipelineSpanPerBatch) {
               s.total_ms + 1e-9);
   }
   EXPECT_GT(spans[1].start_us, spans[0].start_us);
+
+  // A third one-fact publish merges the two delta layers below it: the
+  // span carries the compaction PublishStats counted.
+  manager.AddFact("up", {"p3", "p4"});
+  PublishStats merged = manager.Publish();
+  EXPECT_EQ(merged.relations_merged, 1u);
+  EXPECT_GT(merged.rows_compacted, 0u);
+  spans = manager.publish_recorder().Snapshot();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[2].relations_merged, merged.relations_merged);
+  EXPECT_EQ(spans[2].rows_compacted, merged.rows_compacted);
+  std::string json;
+  spans[2].RenderJson(&json);
+  EXPECT_NE(json.find("\"rows_compacted\": " +
+                      std::to_string(merged.rows_compacted)),
+            std::string::npos)
+      << json;
 }
 
 /// A durability sink that refuses every commit, to drive the refused-span

@@ -10,6 +10,7 @@
 
 #include "datalog/parser.h"
 #include "eval/join.h"
+#include "storage/chain_compaction.h"
 #include "storage/database.h"
 #include "storage/relation.h"
 
@@ -513,6 +514,85 @@ TEST(RelationIndexTest, DeadMutationsSeesThroughResurrectDeletePairs) {
   // An untouched extension inherits the counter exactly.
   auto quiet = Relation::Extend(top);
   EXPECT_EQ(quiet->dead_mutations(), top->dead_mutations());
+}
+
+TEST(ChainCompactionTest, PlansTiersDepthCapAndDoubling) {
+  const size_t kDepth = Relation::kMaxChainDepth;
+  const size_t kMin = Relation::kFlattenMinRows;
+  // A root-only chain or a single delta layer: nothing to merge (never
+  // into the root).
+  EXPECT_EQ(PlanChainCompaction({}, 1000, 0, kDepth, kMin).merge, 0u);
+  EXPECT_EQ(PlanChainCompaction({8}, 1000, 0, kDepth, kMin).merge, 0u);
+  // The upper layer holds at least half the lower one: merge, and keep
+  // merging down while the group does.
+  EXPECT_EQ(PlanChainCompaction({8, 4}, 1000, 0, kDepth, kMin).merge, 2u);
+  EXPECT_EQ(PlanChainCompaction({32, 8, 8}, 1000, 0, kDepth, kMin).merge,
+            3u);
+  EXPECT_EQ(PlanChainCompaction({64, 8, 8}, 1000, 0, kDepth, kMin).merge,
+            2u);
+  // Geometrically shrinking layers stay put...
+  EXPECT_EQ(PlanChainCompaction({64, 16, 4}, 1000, 0, kDepth, kMin).merge,
+            0u);
+  // ...until the new layer would sit past the depth cap.
+  std::vector<size_t> deep = {4096, 1024, 256, 64, 16, 4, 1};
+  EXPECT_EQ(PlanChainCompaction(deep, 1 << 20, 0, kDepth, kMin).merge, 0u);
+  deep.push_back(0);
+  ChainCompaction capped = PlanChainCompaction(deep, 1 << 20, 0, kDepth, kMin);
+  EXPECT_FALSE(capped.flatten);
+  EXPECT_EQ(deep.size() - capped.merge + 2, kDepth);
+  // The doubling rule, tombstones included, is the only root rewrite.
+  EXPECT_TRUE(PlanChainCompaction({600, 400}, 1000, 0, kDepth, kMin).flatten);
+  EXPECT_TRUE(PlanChainCompaction({100}, 1000, 900, kDepth, kMin).flatten);
+  EXPECT_TRUE(PlanChainCompaction({kMin}, 10, 0, kDepth, kMin).flatten);
+  EXPECT_FALSE(PlanChainCompaction({kMin - 1}, 10, 0, kDepth, kMin).flatten);
+}
+
+TEST(RelationIndexTest, ExtendMergesTopLayersKeepingRowIdsAndTombstones) {
+  auto base = std::make_shared<Relation>(5);
+  for (SymbolId i = 0; i < 10; ++i) base->Insert(Tuple{i, 0, 0, 0, i % 2});
+  // Index a wide mask on the root before it freezes.
+  EXPECT_EQ(Matches(*base, 0b10000, Tuple{0, 0, 0, 0, 1}).size(), 5u);
+  base->Freeze();
+  auto mid = Relation::Extend(base);
+  mid->Insert(Tuple{20, 1, 1, 1, 1});
+  mid->Insert(Tuple{21, 1, 1, 1, 0});
+  EXPECT_TRUE(mid->Delete(Tuple{3, 0, 0, 0, 1}));  // a root row
+  mid->Freeze();
+  auto top = Relation::Extend(mid);
+  ASSERT_EQ(top->base(), mid);  // one delta layer: nothing to merge
+  top->Insert(Tuple{22, 2, 2, 2, 1});
+  EXPECT_TRUE(top->Delete(Tuple{20, 1, 1, 1, 1}));  // a mid row
+  top->Freeze();
+
+  // top holds half of mid's rows: the next layer goes on one merged layer
+  // chained to the root, which the merge never rewrites.
+  auto next = Relation::Extend(top);
+  const std::shared_ptr<const Relation>& merged = next->base();
+  ASSERT_NE(merged, top);
+  ASSERT_NE(merged, nullptr);
+  EXPECT_EQ(merged->base(), base);
+  EXPECT_EQ(merged->local_size(), 3u);
+  EXPECT_EQ(next->chain_depth(), 2u);
+  // Global row ids, tombstones and their mutation count carry over.
+  ASSERT_EQ(merged->size(), top->size());
+  for (size_t i = 0; i < top->size(); ++i) {
+    EXPECT_EQ(Tuple(merged->tuple(i)), Tuple(top->tuple(i))) << i;
+    EXPECT_EQ(merged->RowDead(i), top->RowDead(i)) << i;
+  }
+  EXPECT_EQ(merged->dead_mutations(), top->dead_mutations());
+  EXPECT_EQ(next->dead_mutations(), top->dead_mutations());
+  EXPECT_FALSE(next->Contains(Tuple{20, 1, 1, 1, 1}));
+  // Dedup and resurrection see through the merged layer.
+  EXPECT_FALSE(next->Insert(Tuple{21, 1, 1, 1, 0}));
+  EXPECT_TRUE(next->Insert(Tuple{20, 1, 1, 1, 1}));
+  EXPECT_EQ(next->size(), top->size());
+  // The merged layer serves the root's wide mask from its own index.
+  uint64_t before = Relation::ThreadWideScanCount();
+  EXPECT_EQ(Matches(*merged, 0b10000, Tuple{0, 0, 0, 0, 1}).size(), 5u);
+  EXPECT_EQ(Relation::ThreadWideScanCount(), before);
+  // The merged-away layers still serve their own epochs.
+  EXPECT_TRUE(top->Contains(Tuple{21, 1, 1, 1, 0}));
+  EXPECT_EQ(top->base(), mid);
 }
 
 TEST_F(EnumerateTest, RepeatedVariableAgainstPartialBinding) {
