@@ -1,204 +1,27 @@
 #include "server/admin_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
+#include <utility>
 
 namespace binchain {
 namespace server {
 
-// Wire helpers (ReasonPhrase, UrlDecode, ParseQueryString, SendAll,
-// SendBareStatus, OpenListenSocket) are shared with the data plane and
-// live in http_common.cc.
-
 AdminServer::AdminServer(AdminServerOptions options)
-    : options_(std::move(options)) {}
-
-AdminServer::~AdminServer() { Stop(); }
+    // GET routes only: no body to read, one request per connection.
+    : listener_(HttpListener::Config::From(options, /*max_body_bytes=*/0,
+                                           /*max_requests_per_connection=*/1),
+                [](const HttpRequest& req, ResponseWriter* writer) {
+                  HttpResponse not_found;
+                  not_found.status = 404;
+                  not_found.body = "no handler for " + req.path + "\n";
+                  return writer->Send(not_found);
+                }) {}
 
 void AdminServer::Handle(const std::string& path, HttpHandler handler) {
-  handlers_[path] = std::move(handler);
-}
-
-Status AdminServer::Start() {
-  if (running_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("admin server already running");
-  }
-  Result<int> opened = OpenListenSocket(options_.bind_address, options_.port,
-                                        options_.accept_backlog, &port_);
-  if (!opened.ok()) return opened.status();
-  listen_fd_.store(opened.value(), std::memory_order_release);
-
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  size_t n = options_.handler_threads == 0 ? 1 : options_.handler_threads;
-  handler_threads_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    handler_threads_.emplace_back([this] { HandlerLoop(); });
-  }
-  return Status::Ok();
-}
-
-void AdminServer::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // Unblock the accept loop: shutdown makes the blocking accept() return
-  // with an error on every platform; close releases the port.
-  int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    shutdown(fd, SHUT_RDWR);
-    close(fd);
-  }
-  queue_cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (std::thread& t : handler_threads_) {
-    if (t.joinable()) t.join();
-  }
-  handler_threads_.clear();
-  // Connections accepted but never served: close without answering.
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  for (int fd : conn_queue_) close(fd);
-  conn_queue_.clear();
-  port_ = 0;
-}
-
-void AdminServer::AcceptLoop() {
-  while (running_.load(std::memory_order_acquire)) {
-    int listen_fd = listen_fd_.load(std::memory_order_acquire);
-    if (listen_fd < 0) return;  // Stop() already took the socket away
-    int fd = accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      // Stop() shut the listener down (or it broke); either way, done.
-      return;
-    }
-    // Slowloris guard: every read and write on this connection gets the
-    // configured timeout. A stalled client errors out of recv/send and
-    // the handler drops it — it cannot pin a pool thread indefinitely.
-    timeval tv{};
-    tv.tv_sec = options_.io_timeout_ms / 1000;
-    tv.tv_usec = (options_.io_timeout_ms % 1000) * 1000;
-    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-
-    bool enqueued = false;
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      if (conn_queue_.size() < options_.queue_capacity) {
-        conn_queue_.push_back(fd);
-        enqueued = true;
-      }
-    }
-    if (enqueued) {
-      queue_cv_.notify_one();
-    } else {
-      // Burst past the hand-off queue: shed on the accept thread itself,
-      // mirroring the query service's kOverloaded admission control. The
-      // Retry-After tells scrapers the overload is momentary — the queue
-      // drains in well under a second once the burst passes.
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      SendBareStatus(fd, 503, /*retry_after_s=*/1);
-      close(fd);
-    }
-  }
-}
-
-void AdminServer::HandlerLoop() {
-  for (;;) {
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        return !conn_queue_.empty() ||
-               !running_.load(std::memory_order_acquire);
-      });
-      if (conn_queue_.empty()) return;  // shutdown with nothing left to do
-      fd = conn_queue_.front();
-      conn_queue_.pop_front();
-    }
-    ServeConnection(fd);
-    close(fd);
-  }
-}
-
-void AdminServer::ServeConnection(int fd) {
-  // Read the request head: everything up to the blank line, capped at
-  // max_request_bytes. The admin plane is GET-only, so any body a client
-  // sends past the head is simply never read.
-  std::string head;
-  head.reserve(512);
-  bool complete = false;
-  char buf[1024];
-  while (head.size() <= options_.max_request_bytes) {
-    ssize_t r = recv(fd, buf, sizeof(buf), 0);
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
-      // Timeout (slowloris), reset, or EOF before the head completed:
-      // nothing worth answering.
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    head.append(buf, static_cast<size_t>(r));
-    if (head.find("\r\n\r\n") != std::string::npos ||
-        head.find("\n\n") != std::string::npos) {
-      complete = true;
-      break;
-    }
-  }
-  if (!complete) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    SendBareStatus(fd, 431);
-    return;
-  }
-
-  HttpRequest req;
-  if (!ParseRequestHead(head, &req)) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    SendBareStatus(fd, 400);
-    return;
-  }
-  if (req.method != "GET") {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    SendBareStatus(fd, 405);
-    return;
-  }
-
-  auto it = handlers_.find(req.path);
-  if (it == handlers_.end()) {
-    // WriteResponse counts the non-2xx into errors_.
-    HttpResponse not_found;
-    not_found.status = 404;
-    not_found.body = "no handler for " + req.path + "\n";
-    WriteResponse(fd, not_found);
-    return;
-  }
-  WriteResponse(fd, it->second(req));
-}
-
-void AdminServer::WriteResponse(int fd, const HttpResponse& resp) {
-  std::string out;
-  out.reserve(resp.body.size() + 160);
-  out.append("HTTP/1.1 ")
-      .append(std::to_string(resp.status))
-      .append(" ")
-      .append(ReasonPhrase(resp.status))
-      .append("\r\nContent-Type: ")
-      .append(resp.content_type)
-      .append("\r\nContent-Length: ")
-      .append(std::to_string(resp.body.size()));
-  if (resp.retry_after_s > 0) {
-    out.append("\r\nRetry-After: ").append(std::to_string(resp.retry_after_s));
-  }
-  out.append("\r\nConnection: close\r\n\r\n").append(resp.body);
-  SendAll(fd, out.data(), out.size());
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  if (resp.status < 200 || resp.status >= 300) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-  }
+  listener_.Route("GET", path,
+                  [handler = std::move(handler)](const HttpRequest& req,
+                                                 ResponseWriter* writer) {
+                    return writer->Send(handler(req));
+                  });
 }
 
 }  // namespace server

@@ -10,17 +10,13 @@
 // deliberately nothing more:
 //
 //  * GET only, one request per connection (`Connection: close`), no
-//    keep-alive, no TLS, no chunked bodies. Scrapers and probes retry;
+//    keep-alive, no TLS, no request bodies. Scrapers and probes retry;
 //    none of them need connection reuse against a process-local port.
-//  * Dependency-free: POSIX sockets under a std::thread accept loop and
-//    a small handler pool. No event loop — handler concurrency equals
-//    pool size, which is plenty for scrape traffic and keeps slow
-//    clients from ever touching the query service's threads.
-//  * Defensive by construction: bounded request size (oversized heads are
-//    answered 431 and dropped), SO_RCVTIMEO/SO_SNDTIMEO on every accepted
-//    connection (a slowloris client times out and is closed, it cannot
-//    pin a handler forever), bounded hand-off queue (bursts past it are
-//    answered 503 by the accept thread itself).
+//  * A table of GET routes on its own HttpListener (http_listener.h),
+//    which brings the accept thread, the small handler pool, the
+//    request limits (431, slowloris timeout, 503 shed) and the response
+//    writer. Its own pool keeps slow data-plane clients from ever
+//    delaying a readiness probe.
 //
 // Routing is exact-match on the path (query params are parsed off and
 // handed to the handler). Handlers run on pool threads concurrently with
@@ -30,17 +26,11 @@
 #ifndef BINCHAIN_SERVER_ADMIN_SERVER_H_
 #define BINCHAIN_SERVER_ADMIN_SERVER_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "server/http_common.h"
+#include "server/http_listener.h"
 #include "util/status.h"
 
 namespace binchain {
@@ -76,8 +66,6 @@ struct AdminServerOptions {
 class AdminServer {
  public:
   explicit AdminServer(AdminServerOptions options = {});
-  /// Stops and joins if still running.
-  ~AdminServer();
   AdminServer(const AdminServer&) = delete;
   AdminServer& operator=(const AdminServer&) = delete;
 
@@ -85,53 +73,17 @@ class AdminServer {
   /// strings are stripped before matching). Call before Start().
   void Handle(const std::string& path, HttpHandler handler);
 
-  /// Binds, listens, and launches the accept + handler threads. On OK the
-  /// socket is live and port() reports the bound port.
-  Status Start();
-
-  /// Shuts the listener down and joins every thread. In-flight responses
-  /// finish; queued-but-unserved connections are closed. Idempotent.
-  void Stop();
-
-  bool running() const { return running_.load(std::memory_order_acquire); }
-  /// The bound port (resolves option port 0 to the kernel's pick); 0
-  /// before a successful Start().
-  uint16_t port() const { return port_; }
-
-  /// Requests answered, by outcome. `errors` counts every non-2xx plus
-  /// dropped connections (timeout, oversized, parse failure).
-  uint64_t requests_served() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
-  uint64_t request_errors() const {
-    return errors_.load(std::memory_order_relaxed);
-  }
+  // Lifecycle and counters are the listener's; HttpListener documents
+  // them. The destructor stops the server.
+  Status Start() { return listener_.Start(); }
+  void Stop() { listener_.Stop(); }
+  bool running() const { return listener_.running(); }
+  uint16_t port() const { return listener_.port(); }
+  uint64_t requests_served() const { return listener_.requests_served(); }
+  uint64_t request_errors() const { return listener_.request_errors(); }
 
  private:
-  void AcceptLoop();
-  void HandlerLoop();
-  /// Reads, parses, dispatches and answers one connection, then closes it.
-  void ServeConnection(int fd);
-  /// Best-effort write of a full response; counts into the atomics.
-  void WriteResponse(int fd, const HttpResponse& resp);
-
-  const AdminServerOptions options_;
-  std::map<std::string, HttpHandler> handlers_;  // frozen at Start()
-
-  /// Atomic: Stop() swaps it to -1 (then shuts the socket down) while the
-  /// accept loop is still blocked reading it for the next accept(2).
-  std::atomic<int> listen_fd_{-1};
-  uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread accept_thread_;
-  std::vector<std::thread> handler_threads_;
-
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<int> conn_queue_;  // accepted fds awaiting a handler
-
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> errors_{0};
+  HttpListener listener_;
 };
 
 }  // namespace server

@@ -1,14 +1,6 @@
 #include "server/data_server.h"
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <arpa/inet.h>
-
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -501,38 +493,25 @@ std::string RenderTrailer(const QueryResponse& resp) {
 
 // ------------------------------------------------------- response framing
 
-bool SendResponseHead(int fd, int status, bool keep_alive, bool chunked,
-                      size_t content_length, int retry_after_s) {
-  std::string head = "HTTP/1.1 " + std::to_string(status) + " " +
-                     ReasonPhrase(status) +
-                     "\r\nContent-Type: application/x-ndjson\r\n";
-  if (chunked) {
-    head += "Transfer-Encoding: chunked\r\n";
-  } else {
-    head += "Content-Length: " + std::to_string(content_length) + "\r\n";
-  }
-  if (retry_after_s > 0) {
-    head += "Retry-After: " + std::to_string(retry_after_s) + "\r\n";
-  }
-  head += keep_alive ? "Connection: keep-alive\r\n\r\n"
-                     : "Connection: close\r\n\r\n";
-  return SendAll(fd, head.data(), head.size());
+constexpr char kNdjson[] = "application/x-ndjson";
+
+/// A buffered response: the head, then the body in a second send.
+bool WriteBuffered(ResponseWriter* writer, int status,
+                   const std::string& body, int retry_after_s = 0) {
+  return writer->Head(status, kNdjson, /*chunked=*/false, body.size(),
+                      retry_after_s) &&
+         writer->Write(body);
 }
 
-/// One HTTP chunk: hex size line, payload, CRLF.
-bool SendChunk(int fd, const std::string& payload) {
-  char size_line[32];
-  int n = std::snprintf(size_line, sizeof(size_line), "%zx\r\n",
-                        payload.size());
-  std::string frame;
-  frame.reserve(payload.size() + n + 2);
-  frame.append(size_line, static_cast<size_t>(n));
-  frame.append(payload);
-  frame.append("\r\n");
-  return SendAll(fd, frame.data(), frame.size());
+/// An error response: one JSON line naming the terminal status.
+bool WriteError(ResponseWriter* writer, int status, const Status& why,
+                int retry_after_s = 0) {
+  return WriteBuffered(writer, status,
+                       "{\"error\": \"" + EscapeJson(why.message()) +
+                           "\", \"status\": \"" +
+                           StatusWireName(why.code()) + "\"}\n",
+                       retry_after_s);
 }
-
-bool SendLastChunk(int fd) { return SendAll(fd, "0\r\n\r\n", 5); }
 
 // ---------------------------------------------------------------- admission
 
@@ -559,7 +538,24 @@ DataServer::DataServer(QueryService* service, DataServerOptions options)
       service_(service),
       limiter_(options_.rate_limit),
       peer_limiter_(PeerLayerLimits(options_.rate_limit,
-                                    options_.peer_qps_multiplier)) {
+                                    options_.peer_qps_multiplier)),
+      listener_(
+          HttpListener::Config::From(options_, options_.max_body_bytes,
+                                     options_.max_requests_per_connection),
+          [](const HttpRequest& req, ResponseWriter* writer) {
+            return WriteError(writer, 404,
+                              Status::NotFound("no handler for " + req.path));
+          },
+          obs::Registry::Global().GetCounter(
+              "binchain_dataplane_errors_total",
+              "Data-plane requests answered with a non-2xx status or dropped"),
+          obs::Registry::Global().GetGauge(
+              "binchain_dataplane_active_connections",
+              "Data-plane connections currently held by a handler")) {
+  listener_.Route("POST", "/v1/query",
+                  [this](const HttpRequest& req, ResponseWriter* writer) {
+                    return HandleQuery(req, writer);
+                  });
   obs::Registry& reg = obs::Registry::Global();
   m_requests_ = reg.GetCounter("binchain_dataplane_requests_total",
                                "Data-plane HTTP requests decoded and routed");
@@ -575,12 +571,6 @@ DataServer::DataServer(QueryService* service, DataServerOptions options)
   m_overloaded_ = reg.GetCounter(
       "binchain_dataplane_overloaded_total",
       "Data-plane requests answered 503 (service shed or not serving)");
-  m_errors_ = reg.GetCounter(
-      "binchain_dataplane_errors_total",
-      "Data-plane requests answered with a non-2xx status or dropped");
-  m_active_connections_ =
-      reg.GetGauge("binchain_dataplane_active_connections",
-                   "Data-plane connections currently held by a handler");
   m_request_ms_ = reg.GetHistogram(
       "binchain_dataplane_request_ms",
       "Data-plane request wall time, decode to last byte written");
@@ -589,267 +579,14 @@ DataServer::DataServer(QueryService* service, DataServerOptions options)
       "Decode-to-first-answer-chunk latency of streamed data-plane queries");
 }
 
-DataServer::~DataServer() { Stop(); }
-
-Status DataServer::Start() {
-  if (running_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("data server already running");
-  }
-  Result<int> opened = OpenListenSocket(options_.bind_address, options_.port,
-                                        options_.accept_backlog, &port_);
-  if (!opened.ok()) return opened.status();
-  listen_fd_.store(opened.value(), std::memory_order_release);
-
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  size_t n = options_.handler_threads == 0 ? 1 : options_.handler_threads;
-  handler_threads_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    handler_threads_.emplace_back([this] { HandlerLoop(); });
-  }
-  return Status::Ok();
-}
-
-void DataServer::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    shutdown(fd, SHUT_RDWR);
-    close(fd);
-  }
-  queue_cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (std::thread& t : handler_threads_) {
-    if (t.joinable()) t.join();
-  }
-  handler_threads_.clear();
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  for (int queued : conn_queue_) close(queued);
-  conn_queue_.clear();
-  port_ = 0;
-}
-
-void DataServer::AcceptLoop() {
-  while (running_.load(std::memory_order_acquire)) {
-    int listen_fd = listen_fd_.load(std::memory_order_acquire);
-    if (listen_fd < 0) return;
-    int fd = accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    timeval tv{};
-    tv.tv_sec = options_.io_timeout_ms / 1000;
-    tv.tv_usec = (options_.io_timeout_ms % 1000) * 1000;
-    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-
-    bool enqueued = false;
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      if (conn_queue_.size() < options_.queue_capacity) {
-        conn_queue_.push_back(fd);
-        enqueued = true;
-      }
-    }
-    if (enqueued) {
-      queue_cv_.notify_one();
-    } else {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      m_errors_->Inc();
-      SendBareStatus(fd, 503, /*retry_after_s=*/1);
-      close(fd);
-    }
-  }
-}
-
-void DataServer::HandlerLoop() {
-  for (;;) {
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        return !conn_queue_.empty() ||
-               !running_.load(std::memory_order_acquire);
-      });
-      if (conn_queue_.empty()) return;
-      fd = conn_queue_.front();
-      conn_queue_.pop_front();
-    }
-    m_active_connections_->Add(1);
-    ServeConnection(fd);
-    close(fd);
-    m_active_connections_->Add(-1);
-  }
-}
-
-void DataServer::ServeConnection(int fd) {
-  // Peer identity once per connection: the key of the peer-aggregate
-  // admission bucket and the trust scope for any claimed client id.
-  std::string peer = "unknown";
-  sockaddr_in sa{};
-  socklen_t sa_len = sizeof(sa);
-  if (getpeername(fd, reinterpret_cast<sockaddr*>(&sa), &sa_len) == 0 &&
-      sa.sin_family == AF_INET) {
-    char buf[INET_ADDRSTRLEN] = {0};
-    if (inet_ntop(AF_INET, &sa.sin_addr, buf, sizeof(buf)) != nullptr) {
-      peer = buf;
-    }
-  }
-
-  std::string carry;  // bytes read past the previous request's end
-  for (size_t served = 0; served < options_.max_requests_per_connection;
-       ++served) {
-    if (!running_.load(std::memory_order_acquire)) return;
-    bool last = served + 1 == options_.max_requests_per_connection;
-    if (!ServeOne(fd, peer, &carry, last)) return;
-  }
-}
-
-bool DataServer::ServeOne(int fd, const std::string& peer,
-                          std::string* carry, bool last) {
-  // Read the request head (tolerating bytes of it already in *carry from
-  // the previous read).
-  size_t head_end;
-  size_t sep_len = 4;
-  char buf[4096];
-  for (;;) {
-    sep_len = 4;
-    head_end = carry->find("\r\n\r\n");
-    if (head_end == std::string::npos) {
-      head_end = carry->find("\n\n");
-      sep_len = 2;
-    }
-    if (head_end != std::string::npos) break;
-    if (carry->size() > options_.max_request_bytes) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      m_errors_->Inc();
-      SendBareStatus(fd, 431);
-      return false;
-    }
-    ssize_t r = recv(fd, buf, sizeof(buf), 0);
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
-      // Clean EOF between keep-alive requests is the normal way a client
-      // ends the conversation — only a mid-request cut counts as an error.
-      if (!carry->empty()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        m_errors_->Inc();
-      }
-      return false;
-    }
-    carry->append(buf, static_cast<size_t>(r));
-  }
-
-  HttpRequest req;
-  bool parsed = ParseRequestHead(carry->substr(0, head_end), &req);
-  carry->erase(0, head_end + sep_len);
-  if (!parsed) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    m_errors_->Inc();
-    SendBareStatus(fd, 400);
-    return false;
-  }
-
-  // Keep-alive is the HTTP/1.1 default; HTTP/1.0 must opt in. The
-  // connection budget caps reuse regardless: the response that spends it
-  // announces the close.
-  std::string connection;
-  if (auto it = req.headers.find("connection"); it != req.headers.end()) {
-    connection = it->second;
-    for (char& c : connection) c = static_cast<char>(std::tolower(c));
-  }
-  bool keep_alive = !last && (req.version == "HTTP/1.1"
-                                  ? connection != "close"
-                                  : connection == "keep-alive");
-
-  if (req.path != "/v1/query") {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    m_errors_->Inc();
-    std::string body = "{\"error\": \"no handler for " +
-                       EscapeJson(req.path) + "\"}\n";
-    if (!SendResponseHead(fd, 404, keep_alive, /*chunked=*/false, body.size(),
-                          0) ||
-        !SendAll(fd, body.data(), body.size())) {
-      return false;
-    }
-    return keep_alive;
-  }
-  if (req.method != "POST") {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    m_errors_->Inc();
-    SendBareStatus(fd, 405);
-    return false;
-  }
-
-  // The body needs a declared length: this server does not decode chunked
-  // request bodies, and reading to EOF would break keep-alive.
-  auto cl = req.headers.find("content-length");
-  if (cl == req.headers.end()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    m_errors_->Inc();
-    SendBareStatus(fd, 411);
-    return false;
-  }
-  char* cl_end = nullptr;
-  unsigned long long body_len = std::strtoull(cl->second.c_str(), &cl_end, 10);
-  if (cl_end == cl->second.c_str() || (cl_end != nullptr && *cl_end != '\0')) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    m_errors_->Inc();
-    SendBareStatus(fd, 400);
-    return false;
-  }
-  if (body_len > options_.max_body_bytes) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    m_errors_->Inc();
-    // The body is never read, so the connection cannot be reused.
-    SendBareStatus(fd, 413);
-    return false;
-  }
-
-  // A client waiting on 100-continue before sending the body would
-  // otherwise deadlock against our body read.
-  if (auto it = req.headers.find("expect");
-      it != req.headers.end() &&
-      it->second.find("100-continue") != std::string::npos) {
-    const char kContinue[] = "HTTP/1.1 100 Continue\r\n\r\n";
-    if (!SendAll(fd, kContinue, sizeof(kContinue) - 1)) return false;
-  }
-
-  while (carry->size() < body_len) {
-    ssize_t r = recv(fd, buf, sizeof(buf), 0);
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      m_errors_->Inc();
-      return false;
-    }
-    carry->append(buf, static_cast<size_t>(r));
-  }
-  req.body = carry->substr(0, body_len);
-  carry->erase(0, body_len);
-
-  return HandleQuery(fd, req, peer, keep_alive) && keep_alive;
-}
-
-bool DataServer::HandleQuery(int fd, const HttpRequest& req,
-                             const std::string& peer, bool keep_alive) {
+bool DataServer::HandleQuery(const HttpRequest& req, ResponseWriter* writer) {
   auto t0 = std::chrono::steady_clock::now();
   m_requests_->Inc();
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  const std::string& peer = req.peer;
 
   auto send_error = [&](int status, const Status& why,
                         int retry_after_s) -> bool {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    m_errors_->Inc();
-    std::string body = "{\"error\": \"" + EscapeJson(why.message()) +
-                       "\", \"status\": \"" + StatusWireName(why.code()) +
-                       "\"}\n";
-    if (!SendResponseHead(fd, status, keep_alive, /*chunked=*/false,
-                          body.size(), retry_after_s) ||
-        !SendAll(fd, body.data(), body.size())) {
-      return false;
-    }
+    if (!WriteError(writer, status, why, retry_after_s)) return false;
     m_request_ms_->Observe(MsSince(t0));
     return true;
   };
@@ -932,17 +669,13 @@ bool DataServer::HandleQuery(int fd, const HttpRequest& req,
     // 200, with the whole story in the trailer.
     std::string body = RenderTrailer(resp);
     if (stream) {
-      if (!SendResponseHead(fd, 200, keep_alive, /*chunked=*/true, 0, 0) ||
-          !SendChunk(fd, body) || !SendLastChunk(fd)) {
+      if (!writer->Head(200, kNdjson, /*chunked=*/true, 0) ||
+          !writer->Chunk(body) || !writer->LastChunk()) {
         return false;
       }
       m_streamed_->Inc();
-    } else {
-      if (!SendResponseHead(fd, 200, keep_alive, /*chunked=*/false,
-                            body.size(), 0) ||
-          !SendAll(fd, body.data(), body.size())) {
-        return false;
-      }
+    } else if (!WriteBuffered(writer, 200, body)) {
+      return false;
     }
     m_request_ms_->Observe(MsSince(t0));
     return true;
@@ -961,11 +694,7 @@ bool DataServer::HandleQuery(int fd, const HttpRequest& req,
     for (const std::string& line : state->lines) body += line;
     m_chunks_->Inc(state->lines.size());
     body += RenderTrailer(resp);
-    if (!SendResponseHead(fd, 200, keep_alive, /*chunked=*/false, body.size(),
-                          0) ||
-        !SendAll(fd, body.data(), body.size())) {
-      return false;
-    }
+    if (!WriteBuffered(writer, 200, body)) return false;
     m_request_ms_->Observe(MsSince(t0));
     return true;
   }
@@ -973,7 +702,7 @@ bool DataServer::HandleQuery(int fd, const HttpRequest& req,
   // Streaming: commit to 200 + chunked and relay lines as they land. On
   // any write failure the client is gone — cancel the query, then drain
   // to completion so the sink is provably idle before it leaves scope.
-  bool write_ok = SendResponseHead(fd, 200, keep_alive, /*chunked=*/true, 0, 0);
+  bool write_ok = writer->Head(200, kNdjson, /*chunked=*/true, 0);
   bool first_chunk = true;
   std::deque<std::string> ready;
   for (;;) {
@@ -986,7 +715,7 @@ bool DataServer::HandleQuery(int fd, const HttpRequest& req,
     }
     for (const std::string& line : ready) {
       if (!write_ok) break;
-      write_ok = SendChunk(fd, line);
+      write_ok = writer->Chunk(line);
       if (write_ok && first_chunk) {
         first_chunk = false;
         m_first_chunk_ms_->Observe(MsSince(t0));
@@ -1004,14 +733,8 @@ bool DataServer::HandleQuery(int fd, const HttpRequest& req,
     }
   }
   QueryResponse resp = future.Take();
-  if (!write_ok) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    m_errors_->Inc();
-    return false;
-  }
-  if (!SendChunk(fd, RenderTrailer(resp)) || !SendLastChunk(fd)) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    m_errors_->Inc();
+  if (!write_ok || !writer->Chunk(RenderTrailer(resp)) ||
+      !writer->LastChunk()) {
     return false;
   }
   m_streamed_->Inc();

@@ -31,24 +31,22 @@
 //    later fails — the terminal status travels in the trailer, because
 //    the HTTP status line has already been sent by then.
 //
-// Threading mirrors AdminServer: a std::thread accept loop hands
-// connections to a small handler pool over a bounded queue. A handler
-// blocks on its query's chunks, so handler_threads bounds concurrent
-// HTTP-driven evaluations — set it below the service's worker count to
-// keep in-process callers from starving.
+// The socket side is an HttpListener (http_listener.h) of its own, with
+// one route, POST /v1/query: the accept thread, the handler pool, the
+// request reader (framing, 404/405/411/413) and the response writer are
+// the same code the admin plane runs. A handler holds its connection for
+// the connection's keep-alive life and blocks on its query's chunks, so
+// handler_threads bounds concurrent HTTP-driven evaluations — set it
+// below the service's worker count to keep in-process callers from
+// starving.
 #ifndef BINCHAIN_SERVER_DATA_SERVER_H_
 #define BINCHAIN_SERVER_DATA_SERVER_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "server/http_common.h"
+#include "server/http_listener.h"
 #include "server/rate_limiter.h"
 #include "util/status.h"
 
@@ -108,73 +106,41 @@ class DataServer {
   /// `service` is borrowed and must outlive the server (Stop() joins every
   /// handler before returning, so no request outlives either).
   explicit DataServer(QueryService* service, DataServerOptions options = {});
-  ~DataServer();
   DataServer(const DataServer&) = delete;
   DataServer& operator=(const DataServer&) = delete;
 
-  /// Binds, listens, and launches the accept + handler threads.
-  Status Start();
-  /// Shuts the listener down and joins every thread. In-flight streams
-  /// finish (their queries complete or get cancelled by client drop);
-  /// queued-but-unserved connections are closed. Idempotent.
-  void Stop();
-
-  bool running() const { return running_.load(std::memory_order_acquire); }
-  /// The bound port (resolves option port 0); 0 before a successful Start().
-  uint16_t port() const { return port_; }
-
-  uint64_t requests_served() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
-  uint64_t request_errors() const {
-    return errors_.load(std::memory_order_relaxed);
-  }
+  // Lifecycle and counters are the listener's; HttpListener documents
+  // them. In-flight streams finish on Stop() (their queries complete or
+  // get cancelled by client drop). The destructor stops the server.
+  Status Start() { return listener_.Start(); }
+  void Stop() { listener_.Stop(); }
+  bool running() const { return listener_.running(); }
+  uint16_t port() const { return listener_.port(); }
+  uint64_t requests_served() const { return listener_.requests_served(); }
+  uint64_t request_errors() const { return listener_.request_errors(); }
 
  private:
-  void AcceptLoop();
-  void HandlerLoop();
-  /// Serves up to max_requests_per_connection requests on one connection,
-  /// then closes it. Returns when the client hangs up, errors, or asks
-  /// `Connection: close`.
-  void ServeConnection(int fd);
-  /// One request/response exchange; `last` marks the request that spends
-  /// the connection's budget (its response says `Connection: close`).
-  /// Returns whether the connection is still healthy enough for another
-  /// request.
-  bool ServeOne(int fd, const std::string& peer, std::string* carry,
-                bool last);
-  /// Parses, admits, submits, and streams (or buffers) one query.
-  bool HandleQuery(int fd, const HttpRequest& req, const std::string& peer,
-                   bool keep_alive);
+  /// Decodes, admits, submits, and streams (or buffers) one query.
+  /// Returns whether the whole response was written.
+  bool HandleQuery(const HttpRequest& req, ResponseWriter* writer);
 
   const DataServerOptions options_;
   QueryService* const service_;
   RateLimiter limiter_;       // per (peer, client_id) identity buckets
   RateLimiter peer_limiter_;  // per-peer aggregate layer, charged first
 
-  std::atomic<int> listen_fd_{-1};
-  uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread accept_thread_;
-  std::vector<std::thread> handler_threads_;
-
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<int> conn_queue_;  // accepted fds awaiting a handler
-
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> errors_{0};
-
-  /// binchain_dataplane_* instruments, registered at construction.
+  /// binchain_dataplane_* instruments, registered at construction (the
+  /// listener holds the errors counter and the connections gauge).
   obs::Counter* m_requests_;
   obs::Counter* m_streamed_;
   obs::Counter* m_chunks_;
   obs::Counter* m_rate_limited_;
   obs::Counter* m_overloaded_;
-  obs::Counter* m_errors_;
-  obs::Gauge* m_active_connections_;
   obs::Histogram* m_request_ms_;
   obs::Histogram* m_first_chunk_ms_;
+
+  /// Last: destroyed, and so stopped, before anything its handlers use.
+  HttpListener listener_;
 };
 
 }  // namespace server

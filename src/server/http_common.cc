@@ -1,13 +1,6 @@
 #include "server/http_common.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cctype>
-#include <cerrno>
-#include <cstring>
 
 namespace binchain {
 namespace server {
@@ -123,73 +116,12 @@ bool ParseRequestHead(const std::string& head, HttpRequest* req) {
     if (colon == std::string::npos) continue;  // blank line or junk: skip
     std::string name = TrimSpace(field.substr(0, colon));
     for (char& c : name) c = static_cast<char>(std::tolower(c));
-    if (!name.empty()) {
-      req->headers[name] = TrimSpace(field.substr(colon + 1));
-    }
+    if (name.empty()) continue;
+    std::string value = TrimSpace(field.substr(colon + 1));
+    auto [it, fresh] = req->headers.emplace(name, value);
+    if (!fresh) it->second += ", " + value;
   }
   return true;
-}
-
-bool SendAll(int fd, const char* data, size_t n) {
-  size_t off = 0;
-  while (off < n) {
-    ssize_t w = send(fd, data + off, n - off, MSG_NOSIGNAL);
-    if (w <= 0) {
-      if (w < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(w);
-  }
-  return true;
-}
-
-void SendBareStatus(int fd, int status, int retry_after_s) {
-  std::string head = "HTTP/1.1 " + std::to_string(status) + " " +
-                     ReasonPhrase(status) + "\r\nContent-Length: 0\r\n";
-  if (retry_after_s > 0) {
-    head += "Retry-After: " + std::to_string(retry_after_s) + "\r\n";
-  }
-  head += "Connection: close\r\n\r\n";
-  SendAll(fd, head.data(), head.size());
-}
-
-Result<int> OpenListenSocket(const std::string& bind_address, uint16_t port,
-                             int backlog, uint16_t* bound_port) {
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (inet_pton(AF_INET, bind_address.c_str(), &addr.sin_addr) != 1) {
-    close(fd);
-    return Status::InvalidArgument("bad bind address '" + bind_address + "'");
-  }
-  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    Status s = Status::Internal(std::string("bind: ") + std::strerror(errno));
-    close(fd);
-    return s;
-  }
-  if (listen(fd, backlog) != 0) {
-    Status s = Status::Internal(std::string("listen: ") + std::strerror(errno));
-    close(fd);
-    return s;
-  }
-  // Resolve an ephemeral bind (port 0) to the kernel's pick.
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    Status s =
-        Status::Internal(std::string("getsockname: ") + std::strerror(errno));
-    close(fd);
-    return s;
-  }
-  *bound_port = ntohs(bound.sin_port);
-  return fd;
 }
 
 }  // namespace server

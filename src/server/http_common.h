@@ -1,35 +1,26 @@
-// Shared HTTP/1.1 plumbing for the process's two server planes.
+// The HTTP/1.1 vocabulary of the process's two server planes.
 //
 // AdminServer (GET-only observability socket) and DataServer (streaming
-// query plane) speak the same minimal dialect of HTTP: a blocking POSIX
-// socket, a request head parsed by hand, and hand-assembled response
-// framing. This header is the one copy of that dialect — status reason
-// phrases, percent-decoding, query-string and header parsing, short-send
-// tolerant writes, and the listener bring-up sequence — so the two planes
-// cannot drift apart on wire details (a 429's Retry-After must mean the
-// same thing whichever socket emitted it).
-//
-// Everything here is connection-scoped and stateless: no locks, no
-// globals. The servers own their sockets and threading; these helpers
-// only read and write byte streams they are handed.
+// query plane) each run one HttpListener (http_listener.h), which owns
+// the sockets, threads, request reader and response writer. This header
+// is what a route sees of a request and returns as a response, plus the
+// stateless text rules underneath: status reason phrases,
+// percent-decoding, query-string and request-head parsing. No locks, no
+// globals, no sockets.
 #ifndef BINCHAIN_SERVER_HTTP_COMMON_H_
 #define BINCHAIN_SERVER_HTTP_COMMON_H_
 
-#include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
 
-#include "util/status.h"
-
 namespace binchain {
 namespace server {
 
-/// A parsed request head plus (for the data plane) its body. The admin
-/// plane fills method/path/params and ignores the rest; the data plane
-/// additionally reads headers (names lowercased at parse time, values
-/// trimmed) and the Content-Length body.
+/// A parsed request head plus its Content-Length body (POST routes only).
+/// The admin plane reads method/path/params; the data plane also reads
+/// headers (names lowercased at parse time, values trimmed), the body
+/// and the peer.
 struct HttpRequest {
   std::string method;   ///< verb as sent ("GET", "POST", ...)
   std::string path;     ///< target with the query string stripped
@@ -38,10 +29,12 @@ struct HttpRequest {
   /// bare keys map to "").
   std::map<std::string, std::string> params;
   /// Header fields, names lowercased ("content-length", "x-client-id").
-  /// Repeated fields keep the last value — none of the headers either
-  /// plane reads are list-valued.
+  /// A repeated field's values are joined with ", " (RFC 9110 §5.3), so
+  /// the listener can see two Content-Lengths that disagree.
   std::map<std::string, std::string> headers;
-  std::string body;  ///< filled by the data plane's body read, else empty
+  std::string body;  ///< the Content-Length body of a POST route, else empty
+  /// The client's IPv4 address ("unknown" if getpeername fails).
+  std::string peer;
 };
 
 struct HttpResponse {
@@ -71,24 +64,6 @@ void ParseQueryString(const std::string& qs,
 /// Fills method/path/version/params/headers; returns false on a
 /// malformed request line (the caller answers 400).
 bool ParseRequestHead(const std::string& head, HttpRequest* req);
-
-/// Writes the whole buffer, tolerating short sends. MSG_NOSIGNAL: a
-/// client that hung up mid-response must surface as EPIPE, not SIGPIPE.
-bool SendAll(int fd, const char* data, size_t n);
-
-/// Plain fixed response for connections a handler never sees
-/// (accept-queue overflow, oversized heads, parse failures). Always
-/// closes the HTTP exchange (`Connection: close`); a positive
-/// retry_after_s adds the back-off header (503 sheds, 429 limits).
-void SendBareStatus(int fd, int status, int retry_after_s = 0);
-
-/// socket/bind/listen bring-up shared by both planes: binds
-/// `bind_address:port` (port 0 picks an ephemeral port), listens with
-/// `backlog`, and reports the resolved port through *bound_port. Returns
-/// the listening fd, or a Status describing which step failed (the fd is
-/// closed on every failure path).
-Result<int> OpenListenSocket(const std::string& bind_address, uint16_t port,
-                             int backlog, uint16_t* bound_port);
 
 }  // namespace server
 }  // namespace binchain

@@ -775,5 +775,142 @@ TEST(DataServerTest, ExpectContinueBodiesAreAccepted) {
   close(fd);
 }
 
+
+/// Sends `raw` in one send on a fresh connection and reads one response.
+/// *closed reports whether the server then hung up (EOF inside 5 s).
+HttpResult ExchangeOnce(uint16_t port, const std::string& raw, bool* closed) {
+  HttpResult r;
+  *closed = false;
+  int fd = ConnectTo(port);
+  if (fd < 0) return r;
+  if (send(fd, raw.data(), raw.size(), MSG_NOSIGNAL) ==
+      static_cast<ssize_t>(raw.size())) {
+    std::string carry;
+    if (ReadResponse(fd, &carry, &r) && carry.empty()) {
+      timeval tv{5, 0};
+      setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+      char byte;
+      *closed = recv(fd, &byte, 1, 0) == 0;
+    }
+  }
+  close(fd);
+  return r;
+}
+
+// A 404 to a request with a body must not leave that body to be parsed
+// as the next request's head. Either the next query on the socket is
+// served, or the 404 announced a close and the server hangs up without
+// answering anything more.
+TEST(DataServerTest, NotFoundWithABodyNeverDesyncsTheConnection) {
+  DataFixture fx(16);
+  std::string json = "{\"pred\": \"sg\", \"source\": \"" + fx.source + "\"}";
+  int fd = ConnectTo(fx.server->port());
+  ASSERT_GE(fd, 0);
+  std::string carry;
+  // Without a body, a 404 keeps the connection in sync and alive.
+  std::string bare = "POST /v2/nope HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
+  ASSERT_GT(send(fd, bare.data(), bare.size(), MSG_NOSIGNAL), 0);
+  HttpResult first;
+  ASSERT_TRUE(ReadResponse(fd, &carry, &first));
+  EXPECT_EQ(first.status, 404);
+  EXPECT_EQ(first.headers["connection"], "keep-alive");
+
+  std::string with_body = "POST /v2/nope HTTP/1.1\r\nContent-Length: " +
+                          std::to_string(json.size()) + "\r\n\r\n" + json;
+  ASSERT_GT(send(fd, with_body.data(), with_body.size(), MSG_NOSIGNAL), 0);
+  HttpResult notfound;
+  ASSERT_TRUE(ReadResponse(fd, &carry, &notfound));
+  EXPECT_EQ(notfound.status, 404);
+  // The error body carries the wire status like every other error body.
+  EXPECT_NE(notfound.body.find("\"status\": \"not_found\""),
+            std::string::npos)
+      << notfound.body;
+
+  timeval tv{5, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  if (notfound.headers["connection"] == "close") {
+    char byte;
+    EXPECT_EQ(recv(fd, &byte, 1, 0), 0) << "announced close, no hang-up";
+  } else {
+    std::string raw = QueryRequestRaw(json);
+    ASSERT_GT(send(fd, raw.data(), raw.size(), MSG_NOSIGNAL), 0);
+    HttpResult next;
+    ASSERT_TRUE(ReadResponse(fd, &carry, &next));
+    EXPECT_EQ(next.status, 200) << next.body;
+  }
+  close(fd);
+}
+
+// RFC 9112 §6.1: Transfer-Encoding beside Content-Length must not be
+// framed by the length. No chunked request body is decoded at all.
+TEST(DataServerTest, TransferEncodingIsAnswered501AndCloses) {
+  DataFixture fx(8);
+  std::string json = "{\"pred\": \"sg\", \"source\": \"" + fx.source + "\"}";
+  bool closed = false;
+  HttpResult r = ExchangeOnce(
+      fx.server->port(),
+      "POST /v1/query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+      "Content-Length: " + std::to_string(json.size()) + "\r\n\r\n" + json,
+      &closed);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.status, 501);
+  EXPECT_EQ(r.headers["connection"], "close");
+  EXPECT_TRUE(closed);
+}
+
+// RFC 9112 §6.3: a Content-Length is digits only ("+N" is not a length).
+TEST(DataServerTest, SignedContentLengthIsAnswered400AndCloses) {
+  DataFixture fx(8);
+  std::string json = "{\"pred\": \"sg\", \"source\": \"" + fx.source + "\"}";
+  bool closed = false;
+  HttpResult r = ExchangeOnce(fx.server->port(),
+                              "POST /v1/query HTTP/1.1\r\nContent-Length: +" +
+                                  std::to_string(json.size()) + "\r\n\r\n" +
+                                  json,
+                              &closed);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.status, 400);
+  EXPECT_EQ(r.headers["connection"], "close");
+  EXPECT_TRUE(closed);
+}
+
+// Two Content-Lengths that disagree leave the body boundary unknown.
+TEST(DataServerTest, ConflictingContentLengthsAreAnswered400AndClose) {
+  DataFixture fx(8);
+  std::string json = "{\"pred\": \"sg\", \"source\": \"" + fx.source + "\"}";
+  bool closed = false;
+  HttpResult r = ExchangeOnce(
+      fx.server->port(),
+      "POST /v1/query HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: " +
+          std::to_string(json.size()) + "\r\n\r\n" + json,
+      &closed);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.status, 400);
+  EXPECT_EQ(r.headers["connection"], "close");
+  EXPECT_TRUE(closed);
+}
+
+// The body decoder's array path: arrays parse, but no field takes one, a
+// top-level array is not a request, and nesting is bounded.
+TEST(DataServerTest, ArraysAndDeepNestingAreAnswered400) {
+  DataFixture fx(8);
+  std::string deep = "{\"pred\": \"sg\", \"options\": {\"deadline_ms\": " +
+                     std::string(20, '[') + "1" + std::string(20, ']') + "}}";
+  const std::string bodies[] = {
+      "{\"pred\": [\"sg\"]}",
+      "{\"pred\": \"sg\", \"options\": {\"deadline_ms\": [1]}}",
+      "[]",
+      deep,
+  };
+  for (const std::string& body : bodies) {
+    HttpResult r = PostQuery(fx.server->port(), body);
+    ASSERT_TRUE(r.ok) << body;
+    EXPECT_EQ(r.status, 400) << body;
+    EXPECT_NE(r.body.find("\"status\": \"invalid_argument\""),
+              std::string::npos)
+        << body;
+  }
+}
+
 }  // namespace
 }  // namespace binchain

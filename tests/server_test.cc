@@ -1,6 +1,8 @@
 // Admin-plane HTTP server: request parsing and defensive limits on the
 // raw socket (404/405/400/431, slowloris timeout, ephemeral port bind,
-// query-string decoding), then the registered endpoints over a real
+// query-string decoding), the listener rules both planes share (one
+// framing table run against AdminServer and DataServer, and Stop() with
+// an idle client connected), then the registered endpoints over a real
 // QueryService — /metrics under concurrent scrape + query load (the TSan
 // target), /readyz flipping 503 -> 200 across FinishRecovery, and
 // /debug/trace rendering well-formed Chrome trace-event JSON carrying
@@ -13,6 +15,8 @@
 
 #include <arpa/inet.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -27,6 +31,7 @@
 #include "obs/metrics.h"
 #include "server/admin_endpoints.h"
 #include "server/admin_server.h"
+#include "server/data_server.h"
 #include "service/query_service.h"
 #include "storage/database.h"
 #include "workloads/workloads.h"
@@ -259,6 +264,166 @@ TEST(AdminServerTest, QueryParamsAreDecodedAndStripped) {
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.status, 200);
   EXPECT_EQ(r.body, "a=1;b=x y z;flag=;");
+}
+
+// ---------------------------------------------- listener rules, both planes
+
+/// Limits a listener case sets on either plane's options (0 keeps the
+/// plane's default).
+struct Limits {
+  size_t max_request_bytes = 0;
+  int io_timeout_ms = 0;
+  size_t handler_threads = 0;
+  size_t queue_capacity = 0;
+};
+
+template <typename Options>
+Options WithLimits(const Limits& limits) {
+  Options o;
+  if (limits.max_request_bytes != 0) {
+    o.max_request_bytes = limits.max_request_bytes;
+  }
+  if (limits.io_timeout_ms != 0) o.io_timeout_ms = limits.io_timeout_ms;
+  if (limits.handler_threads != 0) o.handler_threads = limits.handler_threads;
+  if (limits.queue_capacity != 0) o.queue_capacity = limits.queue_capacity;
+  return o;
+}
+
+struct AdminPlane {
+  AdminServer server;
+  explicit AdminPlane(const Limits& limits)
+      : server(WithLimits<AdminServerOptions>(limits)) {}
+};
+
+struct DataPlane {
+  Database db;
+  std::unique_ptr<QueryService> service;
+  std::unique_ptr<server::DataServer> server;
+  explicit DataPlane(const Limits& limits) {
+    workloads::Fig7b(db, 8);
+    Program program =
+        ParseProgram(workloads::SgProgramText(), db.symbols()).take();
+    QueryServiceOptions opts;
+    opts.num_threads = 2;
+    service = std::make_unique<QueryService>(&db, program, opts);
+    server = std::make_unique<server::DataServer>(
+        service.get(), WithLimits<server::DataServerOptions>(limits));
+  }
+};
+
+AdminServer& ServerOf(AdminPlane& p) { return p.server; }
+server::DataServer& ServerOf(DataPlane& p) { return *p.server; }
+
+/// Every byte a connection receives until the server closes it. A close
+/// with request bytes still unread arrives as a reset, which counts; a
+/// 5 s client-side timeout turns a server that never closes into a
+/// failure.
+std::string ReadToClose(int fd) {
+  timeval tv{5, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::string got;
+  char buf[4096];
+  for (;;) {
+    ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    if (n == 0 || (n < 0 && errno == ECONNRESET)) return got;
+    if (n < 0) return got + "<no close>";
+    got.append(buf, static_cast<size_t>(n));
+  }
+}
+
+/// One row: `clients` connections each send `raw` and are read until the
+/// server closes them. With want_status 0 no client may get a byte back;
+/// otherwise at least one must get that status and carry `want_header`.
+struct ListenerCase {
+  const char* name;
+  Limits limits;
+  std::string raw;
+  int clients;
+  int want_status;
+  const char* want_header;
+};
+
+const ListenerCase kListenerCases[] = {
+    {"garbage head", {}, "NONSENSE\r\n\r\n", 1, 400, "Connection: close"},
+    {"oversized head",
+     {256, 0, 0, 0},
+     "GET / HTTP/1.1\r\nX-Padding: " + std::string(4096, 'x') + "\r\n\r\n",
+     1,
+     431,
+     "Connection: close"},
+    {"slowloris head", {0, 200, 0, 0}, "GET / HTTP/1.1\r\nX-Stall: ", 1, 0,
+     nullptr},
+    // One handler held by a stalled client and a one-slot queue: of three
+    // stalled clients at least one finds the queue full.
+    {"accept-queue overflow",
+     {0, 300, 1, 1},
+     "GET / HTTP/1.1\r\nX-Stall: ",
+     3,
+     503,
+     "Retry-After: 1"},
+};
+
+template <typename Plane>
+class ListenerRulesTest : public ::testing::Test {};
+using Planes = ::testing::Types<AdminPlane, DataPlane>;
+TYPED_TEST_SUITE(ListenerRulesTest, Planes);
+
+TYPED_TEST(ListenerRulesTest, FramingTable) {
+  for (const ListenerCase& c : kListenerCases) {
+    SCOPED_TRACE(c.name);
+    TypeParam plane(c.limits);
+    auto& srv = ServerOf(plane);
+    ASSERT_TRUE(srv.Start().ok());
+    std::vector<int> fds;
+    for (int i = 0; i < c.clients; ++i) {
+      int fd = ConnectTo(srv.port());
+      ASSERT_GE(fd, 0);
+      ASSERT_EQ(send(fd, c.raw.data(), c.raw.size(), MSG_NOSIGNAL),
+                static_cast<ssize_t>(c.raw.size()));
+      fds.push_back(fd);
+    }
+    int matched = 0;
+    for (int fd : fds) {
+      std::string got = ReadToClose(fd);
+      close(fd);
+      EXPECT_EQ(got.find("<no close>"), std::string::npos) << got;
+      if (c.want_status == 0) {
+        EXPECT_EQ(got, "");
+      } else if (got.rfind("HTTP/1.1 " + std::to_string(c.want_status), 0) ==
+                 0) {
+        EXPECT_NE(got.find(std::string(c.want_header) + "\r\n"),
+                  std::string::npos)
+            << got;
+        ++matched;
+      }
+    }
+    if (c.want_status != 0) {
+      EXPECT_GE(matched, 1);
+    }
+    EXPECT_GE(srv.request_errors(), 1u);
+  }
+}
+
+// Stop() shuts down the read side of every connection a handler holds,
+// so a silent client cannot make it wait out the default I/O timeout
+// (5 s on the admin plane, 10 s on the data plane).
+TYPED_TEST(ListenerRulesTest, StopDoesNotWaitOutAnIdleClient) {
+  TypeParam plane(Limits{});
+  auto& srv = ServerOf(plane);
+  ASSERT_TRUE(srv.Start().ok());
+  int fd = ConnectTo(srv.port());
+  ASSERT_GE(fd, 0);
+  // Long enough for a handler to take the connection off the queue.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto t0 = std::chrono::steady_clock::now();
+  srv.Stop();
+  double ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+  EXPECT_LT(ms, 1000.0);
+  EXPECT_FALSE(srv.running());
+  EXPECT_EQ(ReadToClose(fd), "");
+  close(fd);
 }
 
 // --------------------------------------------------- endpoints over a live
