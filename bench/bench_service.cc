@@ -8,12 +8,12 @@
 // `fetches` and `memo_hits` together show the epoch-shared artifact effect:
 // probes served by the snapshot-owned memos cost no EDB fetches.
 //
-// Each batch also runs once through the async future-based submission path
-// (SubmitBatch + Take), reported as `async_qps` next to the blocking
-// throughput, and a dedicated cancellation benchmark measures in-flight
-// deadline-enforcement latency: how far past its deadline a provably long
-// query (Figure 7 (b)) actually runs before the engine's cancellation
-// points unwind it.
+// Each batch also runs through the async future-based submission path
+// (SubmitBatch + Take), best of the same `--reps`, reported as `async_qps`
+// next to the blocking throughput, and a dedicated cancellation benchmark
+// measures in-flight deadline-enforcement latency: how far past its
+// deadline a provably long query (Figure 7 (b)) actually runs before the
+// engine's cancellation points unwind it.
 //
 // Two answer-cache benchmarks ride along: a skewed-repeat (Zipf) stream
 // evaluated one query at a time against a cache-off and a cache-on
@@ -93,10 +93,11 @@ struct BenchResult {
   double startup_ms = 0;  // service construction (plan + workers + freeze)
   double wall_ms = 0;    // best-of-reps batch wall time
   double qps = 0;        // queries / second at the best rep (blocking path)
-  double async_qps = 0;  // same batch through SubmitBatch + futures
+  double async_qps = 0;  // same batch through SubmitBatch + futures, best rep
   // Queries that actually evaluated (neither single-flight waiters nor
-  // cache hits) in the recorded blocking rep and in the async rep. Both
-  // paths collapse identical requests exactly, so these must agree.
+  // cache hits) in the recorded blocking rep and in the recorded async
+  // rep. Both paths collapse identical requests exactly, so these must
+  // agree.
   uint64_t evaluated = 0;
   uint64_t async_evaluated = 0;
   double speedup = 1;    // vs the 1-thread run of the same batch
@@ -292,25 +293,29 @@ BenchResult RunBatch(Batch& batch, size_t threads, int reps,
   r.result_hash = HashResponses(responses);
   r.evaluated = CountEvaluated(responses);
 
-  // One async rep: the same batch through SubmitBatch + futures. Results
-  // must be identical to the blocking path (same workers, same epoch);
-  // wall time includes future wakeups, so async_qps vs qps is the price
-  // of the future-based surface.
-  {
+  // The same batch through SubmitBatch + futures, timed like the blocking
+  // path (best of `reps`), so async_qps vs qps is the price of the
+  // future-based surface and not of a different estimator. Results must
+  // be identical to the blocking path (same workers, same epoch).
+  double async_ms = 1e300;
+  for (int i = 0; i < reps; ++i) {
     auto t0 = std::chrono::steady_clock::now();
     BatchHandle handle = service.SubmitBatch(batch.requests);
     BatchStats astats;
     std::vector<QueryResponse> aresp = handle.Take(&astats);
     double ms = MsSince(t0);
-    r.async_qps =
-        ms > 0 ? 1000.0 * static_cast<double>(r.queries) / ms : 0;
-    r.async_evaluated = CountEvaluated(aresp);
     if (astats.failed != 0 || HashResponses(aresp) != r.result_hash) {
       r.ok = false;
       r.error = "async submission diverged from blocking batch";
       return r;
     }
+    if (ms < async_ms) {
+      async_ms = ms;
+      r.async_evaluated = CountEvaluated(aresp);
+    }
   }
+  r.async_qps =
+      async_ms > 0 ? 1000.0 * static_cast<double>(r.queries) / async_ms : 0;
 
   // Percentiles from the new observability layer rather than a bench-local
   // sort: the same numbers an operator would scrape off /metrics.

@@ -85,7 +85,7 @@ struct ServiceObs {
                           "Queries completed with a non-OK status");
     shed = r.GetCounter(
         "binchain_service_shed_total",
-        "Queries shed at admission (submission queue at high-water mark)");
+        "Queries shed at admission (pending requests at high-water mark)");
     timed_out = r.GetCounter(
         "binchain_service_timeout_total",
         "Queries whose deadline expired, while queued or mid-flight");
@@ -103,7 +103,7 @@ struct ServiceObs {
                        "Time from submission to worker pickup");
     queue_depth = r.GetGauge(
         "binchain_service_queue_depth",
-        "Tasks accepted into the submission queue but not yet claimed");
+        "Requests admitted for evaluation, not yet claimed by a worker");
     engine_iterations =
         r.GetCounter("binchain_engine_iterations_total",
                      "Fixpoint iterations across all evaluations");
@@ -169,12 +169,9 @@ struct BatchShared {
   /// The owning service's instruments; raw because the service destructor
   /// drains every batch before its members die.
   ServiceObs* obs = nullptr;
-  /// Claim cursor for the blocking-batch runner path (see EvalBatch).
+  /// Claim cursor over the batch's leaders, shared by its runners (see
+  /// QueryService::Dispatch).
   std::atomic<size_t> next{0};
-  /// Future-based submissions have waiters per query, so every completion
-  /// broadcasts; the blocking-batch path waits only for the whole batch,
-  /// so only the last completion needs to.
-  bool notify_each = true;
 };
 
 /// One submitted query: the request (frozen at submission), the token the
@@ -185,6 +182,10 @@ struct AsyncQueryState {
   CancelToken token;
   QueryResponse response;
   bool done = false;  // guarded by batch->mu
+  /// A QueryFuture waits on this query, so its completion must broadcast
+  /// (otherwise only the batch's last completion does). Guarded by
+  /// batch->mu.
+  bool awaited = false;
   /// Whether a worker picked the query up (RunOne ran). Shed and
   /// cancelled-while-queued requests never set this; their span charges the
   /// whole lifetime to queue wait.
@@ -194,8 +195,8 @@ struct AsyncQueryState {
   /// Exact-match key (QueryService::RequestKey): the cache key and the
   /// single-flight key. Set by the front half once admission passed.
   std::string key;
-  /// This query leads a single-flight: FinishEval (or the shed path) must
-  /// end the flight and answer the parked waiters.
+  /// This query leads a single-flight: FinishEval must end the flight and
+  /// answer the parked waiters.
   bool flight_leader = false;
   /// The response replays an answer that was evaluated elsewhere (cache
   /// hit, single-flight waiter): CompleteQuery skips the engine_* registry
@@ -213,8 +214,6 @@ struct FlightTable {
     uint64_t epoch = 0;  // the leader's snapshot
     /// The leader's deadline (CancelToken::deadline: max() when none).
     CancelToken::Clock::time_point deadline;
-    /// Led from Submit/SubmitBatch, so the leader may still be shed.
-    bool async = false;
     std::vector<std::shared_ptr<AsyncQueryState>> waiters;
   };
   using Map = std::unordered_map<std::string, Flight>;
@@ -316,12 +315,14 @@ bool QueryFuture::Ready() const {
 void QueryFuture::Wait() const {
   if (state_ == nullptr) return;
   std::unique_lock<std::mutex> lock(state_->batch->mu);
+  state_->awaited = true;
   state_->batch->cv.wait(lock, [&] { return state_->done; });
 }
 
 bool QueryFuture::WaitFor(double ms) const {
   if (state_ == nullptr) return false;
   std::unique_lock<std::mutex> lock(state_->batch->mu);
+  state_->awaited = true;
   return state_->batch->cv.wait_for(
       lock, std::chrono::duration<double, std::milli>(ms),
       [&] { return state_->done; });
@@ -336,6 +337,7 @@ QueryResponse QueryFuture::Take() {
   QueryResponse out;
   {
     std::unique_lock<std::mutex> lock(state_->batch->mu);
+    state_->awaited = true;
     state_->batch->cv.wait(lock, [&] { return state_->done; });
     out = std::move(state_->response);
   }
@@ -405,7 +407,7 @@ QueryService::QueryService(Database* db, const Program& program,
   db_->Freeze();
   AdoptSnapshot(db_);
   if (!init_status_.ok()) return;
-  pool_ = std::make_unique<ThreadPool>(workers_.size(), queue_depth_);
+  pool_ = std::make_unique<ThreadPool>(workers_.size());
 }
 
 QueryService::QueryService(SnapshotManager* live, const Program& program,
@@ -479,7 +481,7 @@ QueryService::QueryService(SnapshotManager* live, const Program& program,
   live_->Seal();
   AdoptSnapshot(db_);
   if (!init_status_.ok()) return;
-  pool_ = std::make_unique<ThreadPool>(workers_.size(), queue_depth_);
+  pool_ = std::make_unique<ThreadPool>(workers_.size());
 }
 
 QueryService::QueryService(SnapshotManager* live,
@@ -638,7 +640,7 @@ size_t QueryService::num_threads() const {
 }
 
 size_t QueryService::pending() const {
-  return pool_ ? pool_->pending() : 0;
+  return pending_.load(std::memory_order_relaxed);
 }
 
 const obs::FlightRecorder& QueryService::flight_recorder() const {
@@ -845,44 +847,46 @@ void QueryService::MaybeCacheInsert(AsyncQueryState& q) {
                         db.epoch());
 }
 
-bool QueryService::Join(const std::shared_ptr<AsyncQueryState>& state,
-                        bool blocking) {
+QueryService::JoinOutcome QueryService::Join(
+    const std::shared_ptr<AsyncQueryState>& state, bool may_shed) {
   AsyncQueryState& q = *state;
   const uint64_t epoch = q.batch->db->epoch();
   std::lock_guard<std::mutex> lock(flights_->mu);
   auto it = flights_->flights.find(q.key);
-  if (it == flights_->flights.end()) {
-    if (flights_->spare.empty()) {
-      it = flights_->flights.try_emplace(q.key).first;
-    } else {
-      FlightTable::Map::node_type node = std::move(flights_->spare.back());
-      flights_->spare.pop_back();
-      node.key() = q.key;
-      it = flights_->flights.insert(std::move(node)).position;
-    }
+  if (it != flights_->flights.end()) {
     FlightTable::Flight& f = it->second;
-    f.epoch = epoch;
-    f.deadline = q.token.deadline();
-    f.async = !blocking;
-    q.flight_leader = true;
-    return false;
+    // The join rules. Breaking either leaves the request standalone: it
+    // evaluates on its own and nobody waits on it.
+    //  - Another epoch's answer would be wrong for this one.
+    //  - A waiter is answered only when its leader finishes, so a leader
+    //    allowed to run past this request's deadline could make it late.
+    if (f.epoch == epoch && f.deadline <= q.token.deadline()) {
+      f.waiters.push_back(state);
+      if (obs_->enabled) obs_->collapsed->Inc();
+      return JoinOutcome::kWaiter;
+    }
   }
-  FlightTable::Flight& f = it->second;
-  // The join rules. Breaking any of them leaves the request standalone:
-  // it evaluates on its own and nobody waits on it.
-  //  - Another epoch's answer would be wrong for this one.
-  //  - A waiter is answered only when its leader finishes, so a leader
-  //    allowed to run past this request's deadline could make it late.
-  //  - An async leader can still be shed, and a shed flight re-dispatches
-  //    its waiters through the shedding path, which a blocking caller's
-  //    never-shed contract forbids.
-  if (f.epoch != epoch || f.deadline > q.token.deadline() ||
-      (blocking && f.async)) {
-    return false;
+  // The request would evaluate. Shed it now or never: once it leads a
+  // flight, waiters may park on it, and they are answered only when it
+  // runs.
+  if (may_shed && pending_.load(std::memory_order_relaxed) >= queue_depth_) {
+    return JoinOutcome::kShed;
   }
-  f.waiters.push_back(state);
-  if (obs_->enabled) obs_->collapsed->Inc();
-  return true;
+  pending_.fetch_add(1, std::memory_order_relaxed);
+  if (obs_->enabled) obs_->queue_depth->Add(1);
+  if (it != flights_->flights.end()) return JoinOutcome::kEvaluate;
+  if (flights_->spare.empty()) {
+    it = flights_->flights.try_emplace(q.key).first;
+  } else {
+    FlightTable::Map::node_type node = std::move(flights_->spare.back());
+    flights_->spare.pop_back();
+    node.key() = q.key;
+    it = flights_->flights.insert(std::move(node)).position;
+  }
+  it->second.epoch = epoch;
+  it->second.deadline = q.token.deadline();
+  q.flight_leader = true;
+  return JoinOutcome::kEvaluate;
 }
 
 std::vector<std::shared_ptr<AsyncQueryState>> QueryService::EndFlight(
@@ -933,30 +937,28 @@ void QueryService::Serve(size_t worker_id, AsyncQueryState& q) {
   CompleteQuery(q);
 }
 
-void QueryService::DispatchOrShed(std::shared_ptr<AsyncQueryState> state) {
-  ThreadPool::Task task = [this, state](size_t worker_id) {
-    if (obs_->enabled) obs_->queue_depth->Add(-1);  // claimed
-    Serve(worker_id, *state);
-  };
-  // Increment-before-submit so a worker's claim-time decrement (which can
-  // run the instant TrySubmit accepts) never observes the gauge low.
-  if (obs_->enabled) obs_->queue_depth->Add(1);
-  if (pool_->TrySubmit(std::move(task))) return;
-  if (obs_->enabled) obs_->queue_depth->Add(-1);  // never enqueued
-  // Admission control: the queue is at its high-water mark. Shed this
-  // request immediately — an honest kOverloaded now beats an unbounded
-  // queue that deadlines everything later.
-  AsyncQueryState& q = *state;
-  q.response.status =
-      Status::Overloaded("submission queue at high-water mark (" +
-                         std::to_string(queue_depth_) + " pending)");
-  q.response.epoch = q.batch->db->epoch();
-  // The waiters were admitted on their own: the dissolved flight
-  // re-dispatches each one (it may be shed in turn), never drops it.
-  for (std::shared_ptr<AsyncQueryState>& w : EndFlight(q)) {
-    DispatchOrShed(std::move(w));
+void QueryService::Dispatch(
+    const std::shared_ptr<BatchShared>& batch,
+    std::vector<std::shared_ptr<AsyncQueryState>> leaders) {
+  if (leaders.empty()) return;
+  // Claim-cursor runners instead of one queued closure per leader: per-
+  // query heap and queue traffic stays off the hot path, and a worker
+  // stuck on a heavy leader simply claims fewer.
+  auto claimable =
+      std::make_shared<const std::vector<std::shared_ptr<AsyncQueryState>>>(
+          std::move(leaders));
+  const size_t runners = std::min(workers_.size(), claimable->size());
+  for (size_t r = 0; r < runners; ++r) {
+    pool_->Submit([this, batch, claimable](size_t worker_id) {
+      for (size_t i = batch->next.fetch_add(1, std::memory_order_relaxed);
+           i < claimable->size();
+           i = batch->next.fetch_add(1, std::memory_order_relaxed)) {
+        pending_.fetch_sub(1, std::memory_order_relaxed);
+        if (obs_->enabled) obs_->queue_depth->Add(-1);
+        Serve(worker_id, *(*claimable)[i]);
+      }
+    });
   }
-  CompleteQuery(q);
 }
 
 void QueryService::CompleteQuery(AsyncQueryState& q) {
@@ -964,6 +966,7 @@ void QueryService::CompleteQuery(AsyncQueryState& q) {
   BatchCallback callback;
   BatchStats aggregates;
   bool last = false;
+  bool notify = false;
   /// Copy of the closed span for the slow-query log, taken under the lock
   /// (once a waiter is notified it may move the response out) but written
   /// after it — the sink does file I/O, which must never extend the
@@ -1057,8 +1060,11 @@ void QueryService::CompleteQuery(AsyncQueryState& q) {
       callback = std::move(b.on_complete);
       aggregates = s;
     }
+    // Read `awaited` under the lock that waiting futures write it under.
+    // A query nobody awaits leaves the wakeup to the batch's last one.
+    notify = last || q.awaited;
   }
-  if (b.notify_each || last) b.cv.notify_all();
+  if (notify) b.cv.notify_all();
   // Outside the lock: the sink applies its own threshold/sampling and
   // appends one JSONL line; the callback may wait on other futures or
   // submit follow-up work (but must not block on this service's queue).
@@ -1089,7 +1095,7 @@ std::shared_ptr<BatchShared> QueryService::MakeBatchShared(size_t queries) {
 
 std::vector<std::shared_ptr<AsyncQueryState>> QueryService::Admit(
     const std::vector<std::shared_ptr<AsyncQueryState>>& states,
-    bool blocking) {
+    bool may_shed) {
   std::vector<std::shared_ptr<AsyncQueryState>> leaders;
   leaders.reserve(states.size());
   const Status admit = AdmissionStatus();
@@ -1107,22 +1113,35 @@ std::vector<std::shared_ptr<AsyncQueryState>> QueryService::Admit(
       // Admission precedes every cache and flight path: a recovering
       // service answers kUnavailable even for answers it has cached.
       q.response.status = admit;
-      q.response.epoch = q.batch->db->epoch();
-      CompleteQuery(q);
-      continue;
+    } else {
+      q.key = RequestKey(q.request);
+      // Cache fast path: a hit completes on this thread, right here — no
+      // queue traffic, no worker handoff.
+      if (TryServeFromCache(q)) continue;
+      switch (Join(state, may_shed)) {
+        case JoinOutcome::kWaiter:
+          continue;
+        case JoinOutcome::kEvaluate:
+          leaders.push_back(state);
+          continue;
+        case JoinOutcome::kShed:
+          // An honest kOverloaded now beats an unbounded queue that
+          // deadlines everything later.
+          q.response.status =
+              Status::Overloaded("admission queue at high-water mark (" +
+                                 std::to_string(queue_depth_) + " pending)");
+          break;
+      }
     }
-    q.key = RequestKey(q.request);
-    // Cache fast path: a hit completes on this thread, right here — no
-    // queue traffic, no worker handoff.
-    if (TryServeFromCache(q)) continue;
-    if (Join(state, blocking)) continue;
-    leaders.push_back(state);
+    q.response.epoch = q.batch->db->epoch();
+    CompleteQuery(q);
   }
   return leaders;
 }
 
 BatchHandle QueryService::SubmitShared(std::vector<QueryRequest> batch,
-                                       BatchCallback on_complete) {
+                                       BatchCallback on_complete,
+                                       bool may_shed) {
   BatchHandle handle;
   auto shared = MakeBatchShared(batch.size());
   shared->on_complete = std::move(on_complete);
@@ -1135,28 +1154,28 @@ BatchHandle QueryService::SubmitShared(std::vector<QueryRequest> batch,
     return handle;
   }
 
+  // One allocation for the whole batch, handed around as aliasing
+  // shared_ptrs (a flight may park any of them as a waiter).
+  const size_t n = batch.size();
+  std::shared_ptr<AsyncQueryState[]> array(new AsyncQueryState[n]);
   std::vector<std::shared_ptr<AsyncQueryState>> states;
-  states.reserve(batch.size());
-  handle.futures_.reserve(batch.size());
-  for (QueryRequest& req : batch) {
-    auto state = std::make_shared<AsyncQueryState>();
-    state->batch = shared;
-    state->request = std::move(req);
-    handle.futures_.push_back(QueryFuture(state));
-    states.push_back(std::move(state));
+  states.reserve(n);
+  handle.futures_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    array[i].batch = shared;
+    array[i].request = std::move(batch[i]);
+    states.emplace_back(array, &array[i]);
+    handle.futures_.push_back(QueryFuture(states.back()));
   }
-  // One queued task per leader, shed past the high-water mark.
-  for (std::shared_ptr<AsyncQueryState>& leader :
-       Admit(states, /*blocking=*/false)) {
-    DispatchOrShed(std::move(leader));
-  }
+  Dispatch(shared, Admit(states, may_shed));
   return handle;
 }
 
 QueryFuture QueryService::Submit(QueryRequest request) {
   std::vector<QueryRequest> one;
   one.push_back(std::move(request));
-  BatchHandle handle = SubmitShared(std::move(one), nullptr);
+  BatchHandle handle =
+      SubmitShared(std::move(one), nullptr, /*may_shed=*/true);
   // Moving the future out disarms the handle's drop-cancellation; the
   // batch state stays alive behind the future.
   return std::move(handle.futures_[0]);
@@ -1164,7 +1183,8 @@ QueryFuture QueryService::Submit(QueryRequest request) {
 
 BatchHandle QueryService::SubmitBatch(std::vector<QueryRequest> batch,
                                       BatchCallback on_complete) {
-  return SubmitShared(std::move(batch), std::move(on_complete));
+  return SubmitShared(std::move(batch), std::move(on_complete),
+                      /*may_shed=*/true);
 }
 
 QueryResponse QueryService::Eval(const QueryRequest& request) {
@@ -1176,45 +1196,7 @@ QueryResponse QueryService::Eval(const QueryRequest& request) {
 
 std::vector<QueryResponse> QueryService::EvalBatch(
     const std::vector<QueryRequest>& batch, BatchStats* stats) {
-  const size_t n = batch.size();
-  auto shared = MakeBatchShared(n);
-  shared->notify_each = false;  // no per-query waiters on this path
-  // One state per query in a single allocation, handed around as aliasing
-  // shared_ptrs (a flight may park a state of this batch as a waiter).
-  std::shared_ptr<AsyncQueryState[]> array(new AsyncQueryState[n]);
-  std::vector<std::shared_ptr<AsyncQueryState>> states;
-  states.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    array[i].batch = shared;
-    array[i].request = batch[i];
-    states.emplace_back(array, &array[i]);
-  }
-  // Claim-cursor runners over the leaders instead of one queued closure
-  // per query: at most one task per worker, and workers claim leader
-  // indexes from the shared cursor (self-balancing, FIFO). Per-query
-  // heap/queue traffic stays off this hot path; backpressure comes from
-  // SubmitBlocking when other batches own the queue.
-  auto leaders =
-      std::make_shared<std::vector<std::shared_ptr<AsyncQueryState>>>(
-          Admit(states, /*blocking=*/true));
-  const size_t runners = std::min(workers_.size(), leaders->size());
-  for (size_t r = 0; r < runners; ++r) {
-    pool_->SubmitBlocking([this, shared, leaders](size_t worker_id) {
-      for (size_t i = shared->next.fetch_add(1, std::memory_order_relaxed);
-           i < leaders->size();
-           i = shared->next.fetch_add(1, std::memory_order_relaxed)) {
-        Serve(worker_id, *(*leaders)[i]);
-      }
-    });
-  }
-  std::vector<QueryResponse> responses(n);
-  {
-    std::unique_lock<std::mutex> lock(shared->mu);
-    shared->cv.wait(lock, [&] { return shared->remaining == 0; });
-    if (stats != nullptr) *stats = shared->stats;
-  }
-  for (size_t i = 0; i < n; ++i) responses[i] = std::move(array[i].response);
-  return responses;
+  return SubmitShared(batch, nullptr, /*may_shed=*/false).Take(stats);
 }
 
 }  // namespace binchain

@@ -1,21 +1,19 @@
 // Concurrent query service: async submission over a frozen database
 // snapshot. The paper's engine answers one p(a, Y) query at a time; this
 // layer turns it into a reusable service in the sense of the QSQ-style
-// evaluator frameworks — it owns a fixed thread pool fed by a bounded
-// submission queue, one evaluation context per worker (QueryEngine with its
-// own term pool, view registry and reset-and-reuse scratch), and the freeze
-// step that makes the shared storage safe to read concurrently. The
-// program-derived artifacts — the Lemma 1 equation system, the inverted
-// system, and every compiled machine M(e_p) — are built once and shared
-// read-only by all workers, so startup cost no longer scales with the
-// thread count.
+// evaluator frameworks — it owns a fixed thread pool, one evaluation
+// context per worker (QueryEngine with its own term pool, view registry
+// and reset-and-reuse scratch), and the freeze step that makes the shared
+// storage safe to read concurrently. The program-derived artifacts — the
+// Lemma 1 equation system, the inverted system, and every compiled machine
+// M(e_p) — are built once and shared read-only by all workers, so startup
+// cost no longer scales with the thread count.
 //
 // Submission is future-based: Submit() enqueues one query and returns a
 // QueryFuture; SubmitBatch() enqueues a whole batch and returns a
 // BatchHandle with per-query futures plus an optional completion callback
 // that fires (on the worker that finishes last) with the batch aggregates.
-// The blocking Eval/EvalBatch calls share the same lifecycle (states,
-// tokens, aggregates).
+// The blocking Eval/EvalBatch calls are the same submission, taken at once.
 //
 // Every submission path runs one front half on the caller's thread, for
 // the whole batch before any worker sees it: the admission gate, the
@@ -23,15 +21,16 @@
 // identical request already in flight on the same epoch is joined instead
 // of evaluated (the QSQ rule that each distinct subquery is answered once
 // and shared), so duplicates collapse exactly, inside one batch and
-// across batches, with or without the cache. Only flight leaders (and the
-// few requests the join rules leave standalone) are dispatched, in one of
-// two modes. Async calls enqueue one task per leader; past the queue's
-// high-water mark a leader is answered immediately with
-// StatusCode::kOverloaded instead of queueing without bound. Blocking
-// calls enqueue claim-cursor runner tasks — at most one per worker —
-// with backpressure (waiting for queue room) rather than shedding, so
-// batch clients keep their all-queries-answered contract and pay no
-// per-query queue traffic.
+// across batches, with or without the cache. Admission control is decided
+// there too, before a flight exists: the service counts the requests
+// admitted for evaluation but not yet claimed by a worker, and past
+// QueryServiceOptions::queue_depth an async request that would evaluate is
+// answered immediately with StatusCode::kOverloaded instead of queueing
+// without bound. Blocking calls never shed, so batch clients keep their
+// all-queries-answered contract. Only flight leaders (and the few requests
+// the join rules leave standalone) are dispatched, all one way: at most one
+// claim-cursor runner task per worker, each claiming the batch's leaders
+// from a shared cursor, so a batch pays no per-query queue traffic.
 //
 // Every request carries a CancelToken for its whole lifetime: a deadline
 // armed at submission, and a flag flipped by QueryFuture::Cancel() (or by
@@ -237,7 +236,7 @@ struct BatchStats {
   uint64_t failed = 0;   // responses with !status.ok(), timeouts included
   uint64_t timed_out = 0;  // of failed: deadline expired (before or mid-flight)
   uint64_t cancelled = 0;  // of failed: future cancelled or dropped
-  uint64_t overloaded = 0;  // of failed: shed at the submission queue
+  uint64_t overloaded = 0;  // of failed: shed at admission (queue_depth)
   uint64_t tuples = 0;   // answers over all successful queries
   uint64_t fetches = 0;
   uint64_t epoch = 0;    // snapshot the whole batch evaluated against
@@ -257,9 +256,11 @@ struct BatchStats {
 struct QueryServiceOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   size_t num_threads = 0;
-  /// High-water mark of the submission queue: pending (accepted, not yet
-  /// claimed) requests past this are shed with kOverloaded on the async
-  /// paths; the blocking paths wait for room instead.
+  /// High-water mark of pending work: requests admitted for evaluation but
+  /// not yet claimed by a worker (flight leaders and standalone requests;
+  /// cache hits and flight waiters never count). An async request that
+  /// would evaluate past it is shed with kOverloaded. Blocking calls never
+  /// shed, but their pending requests count toward the mark.
   size_t queue_depth = 1024;
   /// Slow-query flight recorder: spans of the last `flight_recorder_capacity`
   /// queries whose total latency reached `flight_recorder_min_ms` are
@@ -359,7 +360,8 @@ class BatchHandle {
   size_t size() const { return futures_.size(); }
   /// Per-query future, indexed like the submitted batch. May be moved out
   /// for individual waiting; Take() then reports a default (moved-from)
-  /// response at that index.
+  /// response at that index. The batch's states are one allocation, so a
+  /// moved-out future keeps all of them alive until it is dropped.
   QueryFuture& future(size_t i) { return futures_[i]; }
 
   /// Blocks until every query of the batch completed.
@@ -427,8 +429,10 @@ class QueryService {
   const Status& status() const { return init_status_; }
 
   size_t num_threads() const;
-  /// Requests accepted into the submission queue but not yet claimed by a
-  /// worker (advisory; see ThreadPool::pending).
+  /// Requests admitted for evaluation but not yet claimed by a worker, on
+  /// every submission path (the count queue_depth bounds). Advisory —
+  /// another thread may change it immediately — but once a submitter sees
+  /// 0 after its own submissions, all of them have been claimed.
   size_t pending() const;
   /// The database the service was prepared against (the genesis epoch in
   /// live mode — later epochs are reached through the manager).
@@ -457,9 +461,10 @@ class QueryService {
   cache::AnswerCache* answer_cache() const { return answer_cache_.get(); }
 
   /// Async submission: enqueues the request and returns immediately. If
-  /// the queue is at its high-water mark the future is already completed
-  /// with kOverloaded (admission control); a failed service completes it
-  /// with status(). The request's deadline starts now.
+  /// it would evaluate while pending() is at queue_depth, the future is
+  /// already completed with kOverloaded (admission control; joining an
+  /// identical in-flight request is never refused); a failed service
+  /// completes it with status(). The request's deadline starts now.
   QueryFuture Submit(QueryRequest request);
 
   /// Async batch submission: every request is enqueued (admission applies
@@ -469,16 +474,14 @@ class QueryService {
   BatchHandle SubmitBatch(std::vector<QueryRequest> batch,
                           BatchCallback on_complete = nullptr);
 
-  /// Evaluates one query, blocking until the response (backpressure
-  /// instead of shedding when the queue is full).
+  /// Evaluates one query, blocking until the response; never shed.
   QueryResponse Eval(const QueryRequest& request);
 
   /// Evaluates a batch, blocking; the response vector is indexed like
-  /// `batch`. Flight leaders are dispatched as claim-cursor runner tasks
-  /// (at most one per worker) rather than per-query submissions, so large
-  /// blocking batches pay no per-query queue traffic and never shed;
-  /// deadlines and EvalStats semantics are identical to the async path.
-  /// Safe to call from multiple client threads — batches queue FIFO.
+  /// `batch`. The same submission as SubmitBatch, taken at once, except
+  /// that it never sheds: its pending requests count toward queue_depth
+  /// but are never refused by it. Safe to call from multiple client
+  /// threads — batches queue FIFO.
   std::vector<QueryResponse> EvalBatch(const std::vector<QueryRequest>& batch,
                                        BatchStats* stats = nullptr);
 
@@ -510,34 +513,38 @@ class QueryService {
   /// The front half every submission path shares, run on the caller
   /// thread for the whole batch before anything is dispatched: per
   /// request, the admission gate, RequestKey, the cache lookup, and the
-  /// flight join (Join). Refused requests and cache hits complete here,
-  /// joiners park on their flight; returns the states a worker must
-  /// evaluate — flight leaders and standalone requests — in batch order.
-  /// Because the whole batch joins before any leader is dispatched, a
-  /// leader cannot finish before its in-batch duplicates joined it.
-  /// `blocking` marks Eval/EvalBatch callers.
+  /// flight join with its shed decision (Join). Refused, shed and cached
+  /// requests complete here, joiners park on their flight; returns the
+  /// states a worker must evaluate — flight leaders and standalone
+  /// requests — in batch order. Because the whole batch joins before any
+  /// leader is dispatched, a leader cannot finish before its in-batch
+  /// duplicates joined it. `may_shed` is false for Eval/EvalBatch.
   std::vector<std::shared_ptr<AsyncQueryState>> Admit(
       const std::vector<std::shared_ptr<AsyncQueryState>>& states,
-      bool blocking);
+      bool may_shed);
 
-  /// Async submission: wraps `batch` into future states under one
-  /// BatchHandle, runs the front half, and dispatches each leader as its
-  /// own queued task (DispatchOrShed).
+  /// Every submission: wraps `batch` into future states under one
+  /// BatchHandle, runs the front half, and dispatches its leaders.
   BatchHandle SubmitShared(std::vector<QueryRequest> batch,
-                           BatchCallback on_complete);
+                           BatchCallback on_complete, bool may_shed);
 
-  /// Single-flight join for an admitted cache miss. With no flight at its
-  /// key the request leads a new one (flight_leader set) and returns
-  /// false. Otherwise it joins as a waiter and returns true, unless a join
-  /// rule leaves it standalone (returns false, no flight bookkeeping):
-  /// the flight is for another epoch, the leader's deadline is later than
-  /// the joiner's (no deadline counts as latest), or a blocking joiner
-  /// meets an async leader.
-  bool Join(const std::shared_ptr<AsyncQueryState>& state, bool blocking);
+  /// Join's verdict on an admitted cache miss.
+  enum class JoinOutcome { kEvaluate, kWaiter, kShed };
+
+  /// Single-flight join and admission control for an admitted cache miss,
+  /// under the flight lock. An identical flight on the same epoch whose
+  /// leader's deadline is no later than the joiner's (no deadline counts
+  /// as latest) takes the request as a waiter. Otherwise the request
+  /// would evaluate: with `may_shed` and pending() at queue_depth it is
+  /// shed, before any flight exists; else it counts as pending and leads
+  /// a new flight (flight_leader set), or runs standalone when a flight
+  /// at its key broke a join rule.
+  JoinOutcome Join(const std::shared_ptr<AsyncQueryState>& state,
+                   bool may_shed);
 
   /// Ends the flight `q` leads and returns its parked waiters; empty when
-  /// `q` leads none. Every leader exit path — evaluated or shed — calls
-  /// it exactly once, or the waiters are never answered.
+  /// `q` leads none. FinishEval calls it exactly once per leader, or the
+  /// waiters are never answered.
   std::vector<std::shared_ptr<AsyncQueryState>> EndFlight(AsyncQueryState& q);
 
   /// The worker half of one dispatched query: RunOne, FinishEval,
@@ -581,10 +588,11 @@ class QueryService {
   /// this worker and the rest replay its answer.
   void FinishEval(size_t worker_id, AsyncQueryState& q);
 
-  /// Async dispatch of one leader: enqueues its Serve task, or sheds it
-  /// with kOverloaded past the high-water mark — re-dispatching its flight
-  /// waiters one by one so nobody waits on a leader that never ran.
-  void DispatchOrShed(std::shared_ptr<AsyncQueryState> state);
+  /// Queues at most one claim-cursor runner per worker for `batch`'s
+  /// admitted `leaders`: each runner claims the next unclaimed leader
+  /// (FIFO, self-balancing), counts it off pending(), and Serves it.
+  void Dispatch(const std::shared_ptr<BatchShared>& batch,
+                std::vector<std::shared_ptr<AsyncQueryState>> leaders);
 
   /// Admission gate shared by every submission path: init_status_ when
   /// construction failed, kUnavailable while the recovery gate is closed,
@@ -604,7 +612,12 @@ class QueryService {
   bool has_free_vars_ = false;
   std::shared_ptr<const PreparedProgram> plan_;  // shared by all workers
   std::vector<std::unique_ptr<Worker>> workers_;
-  size_t queue_depth_ = 1024;  // submission-queue high-water mark
+  size_t queue_depth_ = 1024;  // high-water mark of pending_
+  /// Requests admitted for evaluation, not yet claimed by a runner (see
+  /// pending()). Incremented only under the flight lock, by Join; a
+  /// runner decrements it as it claims. Declared before pool_, so it
+  /// outlives the runners the pool drains at destruction.
+  std::atomic<size_t> pending_{0};
   /// Cached pointers into obs::Registry::Global() plus the per-service
   /// flight recorder; batches carry a raw pointer to this. Declared before
   /// pool_ so destruction joins the workers (who record spans in

@@ -5,8 +5,7 @@
 
 namespace binchain {
 
-ThreadPool::ThreadPool(size_t num_threads, size_t queue_capacity)
-    : capacity_(std::max<size_t>(1, queue_capacity)) {
+ThreadPool::ThreadPool(size_t num_threads) {
   size_t n = std::max<size_t>(1, num_threads);
   threads_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -19,33 +18,14 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  // Wake everyone: workers drain what remains of the queue and exit;
-  // blocked submitters (there should be none by contract) fail fast.
+  // Wake everyone: workers drain what remains of the queue and exit.
   work_cv_.notify_all();
-  space_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
-size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
-bool ThreadPool::TrySubmit(Task task) {
+void ThreadPool::Submit(Task task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stop_ || queue_.size() >= capacity_) return false;
-    queue_.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
-  return true;
-}
-
-void ThreadPool::SubmitBlocking(Task task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    space_cv_.wait(lock, [&] { return stop_ || queue_.size() < capacity_; });
-    if (stop_) return;  // shutdown raced a straggling submitter: drop
     queue_.push_back(std::move(task));
   }
   work_cv_.notify_one();
@@ -61,8 +41,6 @@ void ThreadPool::WorkerLoop(size_t worker_id) {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    // A slot opened up; let one blocked submitter through.
-    space_cv_.notify_one();
     task(worker_id);
   }
 }

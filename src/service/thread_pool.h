@@ -1,16 +1,15 @@
-// Fixed-size worker pool with stable worker identities, fed by a bounded
-// submission queue. The query service keeps one evaluation context (engine
-// + caches + scratch) per worker, so tasks are dispatched as
+// Fixed-size worker pool with stable worker identities, fed by an unbounded
+// FIFO queue. The query service keeps one evaluation context (engine +
+// caches + scratch) per worker, so tasks are dispatched as
 // (worker_id, task) pairs: any worker may claim any task, but a worker only
 // ever touches its own context.
 //
-// The queue is the service's admission-control surface: TrySubmit fails the
-// moment the high-water mark is reached (the caller turns that into
-// StatusCode::kOverloaded), while SubmitBlocking waits for room — the
-// backpressure path for blocking batch clients. Tasks are claimed FIFO;
-// destruction drains the queue (every accepted task runs — cancelled
-// queries unwind in microseconds, so a shutdown with a deep queue stays
-// prompt) and then joins the workers.
+// The pool bounds nothing: the service decides admission before it queues
+// anything and queues at most one claim-cursor runner per worker per batch
+// (see QueryService), so the queue stays short by construction. Tasks are
+// claimed FIFO; destruction drains the queue (every accepted task runs —
+// cancelled queries unwind in microseconds, so a shutdown with a deep
+// queue stays prompt) and then joins the workers.
 #ifndef BINCHAIN_SERVICE_THREAD_POOL_H_
 #define BINCHAIN_SERVICE_THREAD_POOL_H_
 
@@ -30,41 +29,26 @@ class ThreadPool {
   /// [0, size()).
   using Task = std::function<void(size_t worker_id)>;
 
-  /// Spawns `num_threads` workers (clamped to >= 1) over a queue holding at
-  /// most `queue_capacity` pending tasks (clamped to >= 1). Workers idle on
-  /// a condition variable between tasks.
-  ThreadPool(size_t num_threads, size_t queue_capacity);
+  /// Spawns `num_threads` workers (clamped to >= 1). Workers idle on a
+  /// condition variable between tasks.
+  explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   size_t size() const { return threads_.size(); }
-  size_t queue_capacity() const { return capacity_; }
 
-  /// Tasks accepted but not yet claimed by a worker. Advisory — another
-  /// thread may change it immediately — but monotone observations hold:
-  /// once a submitter sees 0 pending after its own submissions, all of them
-  /// have been claimed.
-  size_t pending() const;
-
-  /// Enqueues `task` unless the queue is at capacity (or the pool is
-  /// shutting down); returns whether the task was accepted. Never blocks:
-  /// this is the admission-control path.
-  bool TrySubmit(Task task);
-
-  /// Enqueues `task`, waiting for queue room if necessary (backpressure for
-  /// blocking clients). Must not be called after destruction has begun.
-  void SubmitBlocking(Task task);
+  /// Enqueues `task` behind every task already queued. Must not be called
+  /// after destruction has begun.
+  void Submit(Task task);
 
  private:
   void WorkerLoop(size_t worker_id);
 
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // workers wait here for tasks
-  std::condition_variable space_cv_;  // SubmitBlocking waits here for room
-  std::deque<Task> queue_;
-  bool stop_ = false;
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // workers wait here for tasks
+  std::deque<Task> queue_;           // guarded by mu_
+  bool stop_ = false;                // guarded by mu_
 
   std::vector<std::thread> threads_;
 };

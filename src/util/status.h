@@ -18,7 +18,7 @@ enum class StatusCode {
   kFailedPrecondition,
   kDeadlineExceeded,  // request expired before (or while) evaluating
   kCancelled,         // caller cancelled (or dropped) the request's future
-  kOverloaded,        // submission queue at its high-water mark; retry later
+  kOverloaded,        // admitted work at its high-water mark; retry later
   kUnavailable,       // service not serving yet (e.g. recovery replay)
   kInternal,
 };

@@ -3,14 +3,16 @@
 // repeated queries, freeze behavior of the storage snapshot, a stress run
 // with overlapping sources on the Figure-8 cyclic workload, the async
 // submission surface — futures, mid-flight deadline/cancellation unwinds,
-// queue-depth admission, and batch completion callbacks — and the
-// single-flight rules that collapse identical requests.
+// queue-depth admission, and batch completion callbacks — the
+// single-flight rules that collapse identical requests, and a seeded
+// stress run that mixes every submission path at once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -22,6 +24,7 @@
 #include "datalog/parser.h"
 #include "service/query_service.h"
 #include "service/thread_pool.h"
+#include "util/rng.h"
 #include "workloads/workloads.h"
 
 namespace binchain {
@@ -67,11 +70,10 @@ TEST(ThreadPoolTest, RunsEverySubmittedTaskExactlyOnceAndDrainsOnExit) {
   std::vector<std::atomic<int>> hits(1000);
   for (auto& h : hits) h = 0;
   {
-    ThreadPool pool(4, 64);
+    ThreadPool pool(4);
     EXPECT_EQ(pool.size(), 4u);
-    EXPECT_EQ(pool.queue_capacity(), 64u);
     for (size_t i = 0; i < hits.size(); ++i) {
-      pool.SubmitBlocking([&hits, i](size_t worker) {
+      pool.Submit([&hits, i](size_t worker) {
         EXPECT_LT(worker, 4u);
         ++hits[i];
       });
@@ -79,38 +81,6 @@ TEST(ThreadPoolTest, RunsEverySubmittedTaskExactlyOnceAndDrainsOnExit) {
     // Destruction drains: every accepted task runs before join.
   }
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, TrySubmitShedsAtCapacityAndBlockedSubmitWaits) {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1, 2);
-    // Park the single worker so the queue state is deterministic.
-    pool.SubmitBlocking([&](size_t) {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return release; });
-      ++ran;
-    });
-    while (pool.pending() != 0) std::this_thread::yield();
-    // Two slots fill the queue; the third submission is shed.
-    EXPECT_TRUE(pool.TrySubmit([&](size_t) { ++ran; }));
-    EXPECT_TRUE(pool.TrySubmit([&](size_t) { ++ran; }));
-    EXPECT_EQ(pool.pending(), 2u);
-    EXPECT_FALSE(pool.TrySubmit([&](size_t) { ++ran; }));
-    // A blocking submitter waits for room instead of shedding.
-    std::thread blocked([&] { pool.SubmitBlocking([&](size_t) { ++ran; }); });
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      release = true;
-    }
-    cv.notify_all();
-    blocked.join();
-    // Destruction drains the remaining queue.
-  }
-  EXPECT_EQ(ran.load(), 4);
 }
 
 TEST(ServiceTest, BatchMatchesSingleThreadedOnFig7Samples) {
@@ -403,6 +373,19 @@ struct LongQueryRig {
   }
 };
 
+/// `threads` workers that shed async requests past `depth` pending ones.
+QueryServiceOptions DepthOptions(size_t threads, size_t depth) {
+  QueryServiceOptions opts;
+  opts.num_threads = threads;
+  opts.queue_depth = depth;
+  return opts;
+}
+
+/// sg(a_i, Y) on the long-query rig: i = 1024 is one answer, one hop.
+QueryRequest LadderTop(size_t i) {
+  return QueryRequest().set_pred("sg").set_source("a" + std::to_string(i));
+}
+
 TEST(AsyncServiceTest, MidFlightDeadlineInterruptsLongQuery) {
   LongQueryRig rig;
   QueryService service(&rig.db, rig.program, {1, 64});
@@ -647,6 +630,90 @@ TEST(AsyncServiceTest, BlockingBatchBackpressuresInsteadOfShedding) {
   for (const QueryResponse& r : responses) EXPECT_TRUE(r.status.ok());
 }
 
+// Admission is decided before a flight exists, so a full queue refuses
+// only requests that would evaluate: a duplicate of a queued leader joins
+// it and is answered, a distinct request is shed.
+TEST(AsyncServiceTest, FullQueueAdmitsDuplicatesOfAQueuedLeader) {
+  LongQueryRig rig;
+  QueryService service(&rig.db, rig.program, DepthOptions(1, 1));
+  ASSERT_TRUE(service.status().ok());
+  QueryFuture running = service.Submit(rig.DistinctRequest(0));
+  while (service.pending() != 0) std::this_thread::yield();
+  const QueryRequest cheap = LadderTop(1024);
+  QueryFuture queued = service.Submit(cheap);
+  QueryFuture duplicate = service.Submit(cheap);
+  QueryFuture distinct = service.Submit(rig.DistinctRequest(1));
+  EXPECT_EQ(service.pending(), 1u);
+  EXPECT_TRUE(distinct.Ready());
+  EXPECT_EQ(distinct.Take().status.code(), StatusCode::kOverloaded);
+
+  running.Cancel();
+  QueryResponse led = queued.Take();
+  QueryResponse joined = duplicate.Take();
+  ASSERT_TRUE(led.status.ok()) << led.status.message();
+  ASSERT_TRUE(joined.status.ok()) << joined.status.message();
+  EXPECT_FALSE(led.trace.collapsed);
+  EXPECT_TRUE(joined.trace.collapsed);
+  EXPECT_EQ(joined.tuples, led.tuples);
+  EXPECT_EQ(led.tuples.size(), 1u);
+  EXPECT_EQ(service.pending(), 0u);
+  running.Wait();
+}
+
+// A blocking batch never sheds, but its pending requests are admitted work
+// like any other: they count toward the async high-water mark.
+TEST(AsyncServiceTest, PendingBlockingBatchCountsTowardAsyncHighWaterMark) {
+  LongQueryRig rig;
+  QueryService service(&rig.db, rig.program, DepthOptions(1, 2));
+  ASSERT_TRUE(service.status().ok());
+  QueryFuture running = service.Submit(rig.DistinctRequest(0));
+  while (service.pending() != 0) std::this_thread::yield();
+  // Four distinct cheap queries, twice the queue depth.
+  std::vector<QueryRequest> batch;
+  for (size_t i = 0; i < 4; ++i) batch.push_back(LadderTop(1024 - i));
+  std::vector<QueryResponse> got;
+  std::thread client([&] { got = service.EvalBatch(batch); });
+  // Bounded, so a service that does not count blocking work fails here
+  // instead of hanging.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (service.pending() < batch.size() &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  const size_t pending = service.pending();
+  QueryFuture probe = service.Submit(rig.DistinctRequest(1));
+  const bool shed_at_once = probe.Ready();
+  probe.Cancel();
+  running.Cancel();
+  const StatusCode probe_code = probe.Take().status.code();
+  client.join();
+
+  EXPECT_EQ(pending, batch.size());
+  EXPECT_TRUE(shed_at_once);
+  EXPECT_EQ(probe_code, StatusCode::kOverloaded);
+  ASSERT_EQ(got.size(), batch.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i].status.ok()) << got[i].status.message();
+    EXPECT_EQ(got[i].tuples.size(), i + 1);
+  }
+  EXPECT_EQ(service.pending(), 0u);
+}
+
+// A future waits for its own query, not for its batch: an awaited query's
+// completion wakes it while the batch's other queries still run.
+TEST(AsyncServiceTest, FutureWakesWhenItsQueryCompletesBeforeTheBatch) {
+  LongQueryRig rig;
+  QueryService service(&rig.db, rig.program, DepthOptions(2, 64));
+  ASSERT_TRUE(service.status().ok());
+  BatchHandle handle = service.SubmitBatch({rig.Request(), LadderTop(1024)});
+  QueryResponse cheap = handle.future(1).Take();
+  EXPECT_TRUE(cheap.status.ok()) << cheap.status.message();
+  EXPECT_FALSE(handle.future(0).Ready());  // the long query still runs
+  handle.Cancel();
+  handle.Wait();
+}
+
 /// The Figure 8 overlap batch bench_service runs: every up-cycle source of
 /// Fig8(m = 17, n = 19) four times over — 68 requests, 17 distinct.
 std::vector<QueryRequest> Fig8x4Batch() {
@@ -758,6 +825,24 @@ TEST(SingleFlightTest, WaiterNeverOutlivesItsDeadline) {
   }
 }
 
+// Blocking and async requests collapse onto each other: a leader is shed
+// before its flight exists or not at all, so a blocking waiter never rides
+// a leader that might be refused.
+TEST(SingleFlightTest, BlockingDuplicateJoinsAsyncLeader) {
+  LongQueryRig rig;
+  QueryService service(&rig.db, rig.program, SingleFlightOptions(2, 0));
+  ASSERT_TRUE(service.status().ok()) << service.status().message();
+  QueryFuture leader = service.Submit(rig.Request());
+  while (service.pending() != 0) std::this_thread::yield();
+  QueryResponse joined = service.Eval(rig.Request());
+  QueryResponse led = leader.Take();
+  ASSERT_TRUE(led.status.ok()) << led.status.message();
+  ASSERT_TRUE(joined.status.ok()) << joined.status.message();
+  EXPECT_FALSE(led.trace.collapsed);
+  EXPECT_TRUE(joined.trace.collapsed);
+  EXPECT_EQ(joined.tuples, led.tuples);
+}
+
 // A leader that fails (here: its own deadline) does not fail its waiters,
 // and does not make each of them pay a full evaluation either: the first
 // waiter re-evaluates, the others replay its answer.
@@ -821,6 +906,168 @@ TEST(ServiceTest, ConcurrentClientBatches) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+/// One stress client's view of its responses. Clients only count; the
+/// test thread asserts, so every failure carries the seed.
+struct Dispositions {
+  uint64_t submitted = 0;
+  uint64_t evaluated = 0;
+  uint64_t collapsed = 0;
+  uint64_t cache_hits = 0;
+  uint64_t shed = 0;
+  uint64_t cancelled_or_timed_out = 0;
+  uint64_t blocking_shed = 0;  // must stay 0: blocking calls never shed
+  uint64_t wrong = 0;          // OK responses unlike the reference
+  uint64_t unexpected = 0;     // any other status
+  std::string first_error;
+
+  void Count(const QueryResponse& r, bool async, const QueryResponse& ref) {
+    switch (r.status.code()) {
+      case StatusCode::kOk:
+        if (r.tuples != ref.tuples || r.stats.nodes != ref.stats.nodes ||
+            r.fetches != ref.fetches) {
+          ++wrong;
+          Note("answer differs from the 1-worker reference");
+        }
+        if (r.trace.cache_hit) {
+          ++cache_hits;
+        } else if (r.trace.collapsed) {
+          ++collapsed;
+        } else {
+          ++evaluated;
+        }
+        break;
+      case StatusCode::kOverloaded:
+        ++shed;
+        if (!async) ++blocking_shed;
+        break;
+      case StatusCode::kCancelled:
+      case StatusCode::kDeadlineExceeded:
+        ++cancelled_or_timed_out;
+        break;
+      default:
+        ++unexpected;
+        Note(r.status.message());
+    }
+  }
+  void Note(const std::string& error) {
+    if (first_error.empty()) first_error = error;
+  }
+  void Add(const Dispositions& o) {
+    submitted += o.submitted;
+    evaluated += o.evaluated;
+    collapsed += o.collapsed;
+    cache_hits += o.cache_hits;
+    shed += o.shed;
+    cancelled_or_timed_out += o.cancelled_or_timed_out;
+    blocking_shed += o.blocking_shed;
+    wrong += o.wrong;
+    unexpected += o.unexpected;
+    if (first_error.empty()) first_error = o.first_error;
+  }
+};
+
+// Every submission path at once against a 4-deep queue: four clients mix
+// Submit, SubmitBatch, Eval and EvalBatch over 16 Fig. 7(b) keys, with
+// in-batch and cross-client duplicates, random deadlines and cancels, so
+// sheds, cross-path collapses and failed leaders' re-evaluations meet.
+// Seeded per client; cache off for odd seeds, on for even ones.
+TEST(ServiceStressTest, MixedSubmittersMatchTheReferenceAndAddUp) {
+  Database db;
+  workloads::Fig7b(db, 64);
+  Program program = SgProgram(db);
+  std::vector<QueryRequest> keys;
+  for (size_t i = 1; i <= 61; i += 4) {
+    keys.push_back(QueryRequest().set_pred("sg").set_source(
+        "a" + std::to_string(i)));
+  }
+  std::vector<QueryResponse> reference;
+  {
+    QueryService ref(&db, program, SingleFlightOptions(1, 0));
+    ASSERT_TRUE(ref.status().ok()) << ref.status().message();
+    reference = ref.EvalBatch(keys);
+  }
+  const double kDeadlinesMs[] = {0.01, 0.1, 1, 10};
+
+  for (const uint64_t seed : {1, 2}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    QueryServiceOptions opts;
+    opts.num_threads = 2;
+    opts.queue_depth = 4;
+    opts.answer_cache_bytes = seed % 2 == 0 ? size_t{1} << 13 : 0;
+    QueryService service(&db, program, opts);
+    ASSERT_TRUE(service.status().ok()) << service.status().message();
+    const auto stop =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(1000);
+    std::vector<Dispositions> tallies(4);
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < tallies.size(); ++c) {
+      clients.emplace_back([&, c] {
+        Rng rng(seed * 1000 + c);
+        Dispositions& t = tallies[c];
+        while (std::chrono::steady_clock::now() < stop) {
+          const uint64_t op = rng.Below(4);  // Submit, SubmitBatch, Eval(Batch)
+          const bool async = op < 2;
+          const size_t n = op % 2 == 0 ? 1 : rng.Between(1, 6);
+          std::vector<size_t> picked;
+          std::vector<QueryRequest> batch;
+          for (size_t j = 0; j < n; ++j) {
+            picked.push_back(rng.Below(keys.size()));
+            batch.push_back(keys[picked.back()]);
+            if (rng.Chance(1, 4)) {
+              batch.back().options.deadline_ms = kDeadlinesMs[rng.Below(4)];
+            }
+          }
+          t.submitted += n;
+          std::vector<QueryResponse> got;
+          if (op == 0) {
+            QueryFuture f = service.Submit(batch[0]);
+            if (rng.Chance(1, 5)) f.Cancel();
+            got.push_back(f.Take());
+          } else if (op == 1) {
+            BatchHandle h = service.SubmitBatch(batch);
+            if (rng.Chance(1, 5)) h.future(rng.Below(n)).Cancel();
+            got = h.Take();
+          } else if (op == 2) {
+            got.push_back(service.Eval(batch[0]));
+          } else {
+            got = service.EvalBatch(batch);
+          }
+          if (got.size() != n) {
+            t.Note("response count differs from the batch size");
+            continue;
+          }
+          for (size_t j = 0; j < n; ++j) {
+            t.Count(got[j], async, reference[picked[j]]);
+          }
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+
+    Dispositions total;
+    for (const Dispositions& t : tallies) total.Add(t);
+    EXPECT_EQ(total.first_error, "");
+    EXPECT_EQ(total.wrong, 0u);
+    EXPECT_EQ(total.unexpected, 0u);
+    EXPECT_EQ(total.blocking_shed, 0u);
+    EXPECT_EQ(total.evaluated + total.collapsed + total.cache_hits +
+                  total.shed + total.cancelled_or_timed_out,
+              total.submitted);
+    EXPECT_GT(total.evaluated, 0u);
+    EXPECT_EQ(service.pending(), 0u);
+    std::printf(
+        "seed %llu: %llu submitted, %llu evaluated, %llu collapsed, "
+        "%llu cache hits, %llu shed, %llu cancelled or timed out\n",
+        static_cast<unsigned long long>(seed),
+        static_cast<unsigned long long>(total.submitted),
+        static_cast<unsigned long long>(total.evaluated),
+        static_cast<unsigned long long>(total.collapsed),
+        static_cast<unsigned long long>(total.cache_hits),
+        static_cast<unsigned long long>(total.shed),
+        static_cast<unsigned long long>(total.cancelled_or_timed_out));
+  }
 }
 
 }  // namespace
