@@ -40,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -495,27 +496,44 @@ StreamingResult RunStreaming(size_t n, int reps) {
 /// Before/after cost of the observability layer on the service hot path:
 /// the same batch through two services over one frozen database, one with
 /// record_metrics off (no counters, histograms, gauge or flight recorder)
-/// and one with the production default on. Reps interleave so thermal /
-/// frequency drift hits both sides equally; best-of-reps wall times make
-/// the ratio a structural-overhead measure, not a noise sample. The
-/// regression gate bounds `ratio` (wall_on / wall_off); the design target
-/// is <= 1.01 — a handful of relaxed increments per completed query.
+/// and one with the production default on. After one untimed batch each,
+/// the sides run in `kObsOverheadPairs` back-to-back pairs, the order
+/// alternating from pair to pair, and `ratio` is the median of the
+/// per-pair cpu_on / cpu_off ratios. Each side is timed in process CPU
+/// time (every thread's, the workers' included): recording costs CPU,
+/// while a batch's wall time on a shared host also counts scheduling
+/// waits and stolen time, which swing one pair's wall ratio by x2 and
+/// can favour one service's threads for many pairs in a row. The
+/// regression gate bounds `ratio`; the design target is <= 1.01 — a
+/// handful of relaxed increments per completed query.
+constexpr int kObsOverheadPairs = 31;
+
 struct ObsOverheadResult {
   std::string name;
   size_t threads = 0;
   uint64_t queries = 0;
-  double wall_off_ms = 1e300;  // best rep, metrics disabled
-  double wall_on_ms = 1e300;   // best rep, metrics enabled
-  double ratio = 0;            // wall_on / wall_off
+  int pairs = 0;
+  double cpu_off_ms = 0;  // median over pairs, metrics disabled
+  double cpu_on_ms = 0;   // median over pairs, metrics enabled
+  double ratio = 0;       // median of the per-pair cpu_on / cpu_off
   bool ok = true;
   std::string error;
 };
 
-ObsOverheadResult RunObsOverhead(Batch& batch, size_t threads, int reps) {
+/// CPU time used so far by every thread of this process, in ms.
+double ProcessCpuMs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+ObsOverheadResult RunObsOverhead(Batch& batch, size_t threads) {
   ObsOverheadResult r;
   r.name = batch.label + "/obs_overhead";
   r.threads = threads;
   r.queries = batch.requests.size();
+  r.pairs = kObsOverheadPairs;
 
   QueryService::Options opts;
   opts.num_threads = threads;
@@ -532,25 +550,41 @@ ObsOverheadResult RunObsOverhead(Batch& batch, size_t threads, int reps) {
     return r;
   }
 
-  uint64_t tuples_off = 0, tuples_on = 0;
-  for (int i = 0; i < std::max(3, reps); ++i) {
-    BatchStats stats;
-    auto t0 = std::chrono::steady_clock::now();
-    service_off.EvalBatch(batch.requests, &stats);
-    r.wall_off_ms = std::min(r.wall_off_ms, MsSince(t0));
-    tuples_off = stats.tuples;
-
-    t0 = std::chrono::steady_clock::now();
-    service_on.EvalBatch(batch.requests, &stats);
-    r.wall_on_ms = std::min(r.wall_on_ms, MsSince(t0));
-    tuples_on = stats.tuples;
-  }
-  if (tuples_off != tuples_on) {
+  BatchStats stats;
+  service_off.EvalBatch(batch.requests, &stats);
+  uint64_t tuples_off = stats.tuples;
+  service_on.EvalBatch(batch.requests, &stats);
+  if (stats.tuples != tuples_off) {
     r.ok = false;
     r.error = "metrics on/off runs disagree on result size";
     return r;
   }
-  r.ratio = r.wall_off_ms > 0 ? r.wall_on_ms / r.wall_off_ms : 0;
+  auto timed = [&](QueryService& service) {
+    double t0 = ProcessCpuMs();
+    service.EvalBatch(batch.requests, &stats);
+    return ProcessCpuMs() - t0;
+  };
+  std::vector<double> off_ms, on_ms, ratios;
+  for (int i = 0; i < kObsOverheadPairs; ++i) {
+    double cpu_off, cpu_on;
+    if (i % 2 == 0) {
+      cpu_off = timed(service_off);
+      cpu_on = timed(service_on);
+    } else {
+      cpu_on = timed(service_on);
+      cpu_off = timed(service_off);
+    }
+    off_ms.push_back(cpu_off);
+    on_ms.push_back(cpu_on);
+    ratios.push_back(cpu_off > 0 ? cpu_on / cpu_off : 0);
+  }
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  r.cpu_off_ms = median(off_ms);
+  r.cpu_on_ms = median(on_ms);
+  r.ratio = median(ratios);
   return r;
 }
 
@@ -894,7 +928,7 @@ int main(int argc, char** argv) {
         1, std::min<size_t>(
                *std::max_element(thread_counts.begin(), thread_counts.end()),
                std::thread::hardware_concurrency()));
-    overhead = RunObsOverhead(*batch, overhead_threads, reps);
+    overhead = RunObsOverhead(*batch, overhead_threads);
     break;
   }
   if (!overhead.ok) ++failures;
@@ -933,10 +967,11 @@ int main(int argc, char** argv) {
   }
   if (overhead.ok) {
     std::printf(
-        "obs overhead (%s, threads=%zu): metrics off %.3f ms, on %.3f ms, "
-        "ratio x%.4f over %llu queries/rep\n",
-        overhead.name.c_str(), overhead.threads, overhead.wall_off_ms,
-        overhead.wall_on_ms, overhead.ratio,
+        "obs overhead (%s, threads=%zu): metrics off %.3f ms, on %.3f ms "
+        "of CPU (medians), median pair ratio x%.4f over %d pairs of %llu "
+        "queries\n",
+        overhead.name.c_str(), overhead.threads, overhead.cpu_off_ms,
+        overhead.cpu_on_ms, overhead.ratio, overhead.pairs,
         static_cast<unsigned long long>(overhead.queries));
   } else {
     std::printf("obs overhead: ERROR: %s\n", overhead.error.c_str());
@@ -1036,8 +1071,9 @@ int main(int argc, char** argv) {
         << "\", \"ok\": " << (overhead.ok ? "true" : "false")
         << ", \"threads\": " << overhead.threads
         << ", \"queries\": " << overhead.queries
-        << ", \"wall_off_ms\": " << overhead.wall_off_ms
-        << ", \"wall_on_ms\": " << overhead.wall_on_ms
+        << ", \"pairs\": " << overhead.pairs
+        << ", \"cpu_off_ms\": " << overhead.cpu_off_ms
+        << ", \"cpu_on_ms\": " << overhead.cpu_on_ms
         << ", \"ratio\": " << overhead.ratio << "},\n";
     out << "  \"cancellation\": {\"ok\": " << (cancel.ok ? "true" : "false")
         << ", \"queries\": " << cancel.queries

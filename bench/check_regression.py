@@ -24,8 +24,9 @@ fails (exit 1) on structural regressions that survive machine-speed noise:
   batches must be all-OK, and the cancellation benchmark must report every
   query as ``deadline_exceeded`` (in-flight enforcement actually fired);
 * ``bench_service``: the observability before/after column — the same
-  batch with metrics recording off vs on, interleaved within one run so
-  machine speed cancels — must stay within ``OBS_OVERHEAD_BOUND``; the
+  batch with metrics recording off vs on, in interleaved pairs within one
+  run so machine speed cancels, reported as the median of the per-pair
+  ratios of process CPU time — must stay within ``OBS_OVERHEAD_BOUND``; the
   design target is <=1% (a handful of relaxed atomics per completed
   query), the gate bound is looser only to absorb CI-runner noise;
 * ``bench_service``: the answer-cache A/B — the skewed-repeat stream must
@@ -211,8 +212,8 @@ def check_service(baseline, smoke, errors):
                     "service: field 'obs_overhead.ratio' regressed: "
                     f"baseline={base_overhead.get('ratio') if base_overhead else 'n/a'}, "
                     f"current={ratio:.4f} (metrics on "
-                    f"{overhead.get('wall_on_ms')} ms vs off "
-                    f"{overhead.get('wall_off_ms')} ms), bound is "
+                    f"{overhead.get('cpu_on_ms')} ms vs off "
+                    f"{overhead.get('cpu_off_ms')} ms of CPU), bound is "
                     f"x{OBS_OVERHEAD_BOUND} — metrics recording has crept "
                     "into the query hot path")
     elif base_overhead is not None:

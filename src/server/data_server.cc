@@ -495,12 +495,13 @@ std::string RenderTrailer(const QueryResponse& resp) {
 
 constexpr char kNdjson[] = "application/x-ndjson";
 
-/// A buffered response: the head, then the body in a second send.
+/// A buffered response: the head and the whole body in one send.
 bool WriteBuffered(ResponseWriter* writer, int status,
                    const std::string& body, int retry_after_s = 0) {
-  return writer->Head(status, kNdjson, /*chunked=*/false, body.size(),
-                      retry_after_s) &&
-         writer->Write(body);
+  writer->Head(status, kNdjson, /*chunked=*/false, body.size(),
+               retry_after_s);
+  writer->Write(body);
+  return writer->Flush();
 }
 
 /// An error response: one JSON line naming the terminal status.
@@ -669,10 +670,10 @@ bool DataServer::HandleQuery(const HttpRequest& req, ResponseWriter* writer) {
     // 200, with the whole story in the trailer.
     std::string body = RenderTrailer(resp);
     if (stream) {
-      if (!writer->Head(200, kNdjson, /*chunked=*/true, 0) ||
-          !writer->Chunk(body) || !writer->LastChunk()) {
-        return false;
-      }
+      writer->Head(200, kNdjson, /*chunked=*/true, 0);
+      writer->Chunk(body);
+      writer->LastChunk();
+      if (!writer->Flush()) return false;
       m_streamed_->Inc();
     } else if (!WriteBuffered(writer, 200, body)) {
       return false;
@@ -690,20 +691,27 @@ bool DataServer::HandleQuery(const HttpRequest& req, ResponseWriter* writer) {
       state->cv.wait(lock, [&state] { return state->done; });
     }
     QueryResponse resp = future.Take();
-    std::string body;
-    for (const std::string& line : state->lines) body += line;
+    std::string trailer = RenderTrailer(resp);
+    size_t length = trailer.size();
+    for (const std::string& line : state->lines) length += line.size();
+    writer->Head(200, kNdjson, /*chunked=*/false, length);
+    for (const std::string& line : state->lines) writer->Write(line);
+    writer->Write(trailer);
     m_chunks_->Inc(state->lines.size());
-    body += RenderTrailer(resp);
-    if (!WriteBuffered(writer, 200, body)) return false;
+    if (!writer->Flush()) return false;
     m_request_ms_->Observe(MsSince(t0));
     return true;
   }
 
-  // Streaming: commit to 200 + chunked and relay lines as they land. On
-  // any write failure the client is gone — cancel the query, then drain
-  // to completion so the sink is provably idle before it leaves scope.
-  bool write_ok = writer->Head(200, kNdjson, /*chunked=*/true, 0);
-  bool first_chunk = true;
+  // Streaming: commit to 200 + chunked and relay lines as they land. The
+  // head leaves with the first drain, each later drain is one flush of
+  // every line ready by then (never waiting for more, so delivery stays
+  // incremental), and the trailer leaves with the terminator. A failed
+  // flush means the client is gone: cancel the query, then drain to
+  // completion so the sink is provably idle before it leaves scope.
+  writer->Head(200, kNdjson, /*chunked=*/true, 0);
+  bool write_ok = true;
+  bool first_flush = true;
   std::deque<std::string> ready;
   for (;;) {
     {
@@ -713,30 +721,26 @@ bool DataServer::HandleQuery(const HttpRequest& req, ResponseWriter* writer) {
       ready.swap(state->lines);
       if (ready.empty() && state->done) break;
     }
-    for (const std::string& line : ready) {
-      if (!write_ok) break;
-      write_ok = writer->Chunk(line);
-      if (write_ok && first_chunk) {
-        first_chunk = false;
-        m_first_chunk_ms_->Observe(MsSince(t0));
-      }
-      if (write_ok) m_chunks_->Inc();
-    }
-    ready.clear();
+    for (const std::string& line : ready) writer->Chunk(line);
+    write_ok = writer->Flush();
     if (!write_ok) {
       future.Cancel();
-      {
-        std::unique_lock<std::mutex> lock(state->mu);
-        state->cv.wait(lock, [&state] { return state->done; });
-      }
+      std::unique_lock<std::mutex> lock(state->mu);
+      state->cv.wait(lock, [&state] { return state->done; });
       break;
     }
+    if (first_flush) {
+      first_flush = false;
+      m_first_chunk_ms_->Observe(MsSince(t0));
+    }
+    m_chunks_->Inc(ready.size());
+    ready.clear();
   }
   QueryResponse resp = future.Take();
-  if (!write_ok || !writer->Chunk(RenderTrailer(resp)) ||
-      !writer->LastChunk()) {
-    return false;
-  }
+  if (!write_ok) return false;
+  writer->Chunk(RenderTrailer(resp));
+  writer->LastChunk();
+  if (!writer->Flush()) return false;
   m_streamed_->Inc();
   m_request_ms_->Observe(MsSince(t0));
   return true;

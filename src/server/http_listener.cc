@@ -35,13 +35,15 @@ bool SendAll(int fd, const char* data, size_t n) {
   return true;
 }
 
-/// The one response-head builder. Field order is part of the wire
-/// contract both planes' clients and tests see.
-std::string ResponseHead(int status, const std::string& content_type,
-                         bool chunked, size_t content_length,
-                         int retry_after_s, bool keep_alive) {
-  std::string head = "HTTP/1.1 " + std::to_string(status) + " " +
-                     ReasonPhrase(status) + "\r\n";
+/// The one response-head builder, appending to *out. Field order is part
+/// of the wire contract both planes' clients and tests see.
+void AppendResponseHead(std::string* out, int status,
+                        const std::string& content_type, bool chunked,
+                        size_t content_length, int retry_after_s,
+                        bool keep_alive) {
+  std::string& head = *out;
+  head += "HTTP/1.1 " + std::to_string(status) + " " + ReasonPhrase(status) +
+          "\r\n";
   if (!content_type.empty()) head += "Content-Type: " + content_type + "\r\n";
   if (chunked) {
     head += "Transfer-Encoding: chunked\r\n";
@@ -53,7 +55,6 @@ std::string ResponseHead(int status, const std::string& content_type,
   }
   head += keep_alive ? "Connection: keep-alive\r\n\r\n"
                      : "Connection: close\r\n\r\n";
-  return head;
 }
 
 /// socket/bind/listen: binds `bind_address:port` (port 0 picks an
@@ -129,38 +130,38 @@ bool ParseContentLength(const std::string& value, size_t* out) {
 // ---------------------------------------------------------- ResponseWriter
 
 bool ResponseWriter::Send(const HttpResponse& resp) {
-  status_ = resp.status;
-  return Write(ResponseHead(resp.status, resp.content_type, /*chunked=*/false,
-                            resp.body.size(), resp.retry_after_s,
-                            keep_alive_) +
-               resp.body);
+  Head(resp.status, resp.content_type, /*chunked=*/false, resp.body.size(),
+       resp.retry_after_s);
+  Write(resp.body);
+  return Flush();
 }
 
-bool ResponseWriter::Head(int status, const std::string& content_type,
+void ResponseWriter::Head(int status, const std::string& content_type,
                           bool chunked, size_t content_length,
                           int retry_after_s) {
   status_ = status;
-  return Write(ResponseHead(status, content_type, chunked, content_length,
-                            retry_after_s, keep_alive_));
+  AppendResponseHead(&pending_, status, content_type, chunked, content_length,
+                     retry_after_s, keep_alive_);
 }
 
-bool ResponseWriter::Write(const std::string& bytes) {
-  return SendAll(fd_, bytes.data(), bytes.size());
-}
+void ResponseWriter::Write(const std::string& bytes) { pending_ += bytes; }
 
-bool ResponseWriter::Chunk(const std::string& payload) {
+void ResponseWriter::Chunk(const std::string& payload) {
   char size_line[32];
   int n = std::snprintf(size_line, sizeof(size_line), "%zx\r\n",
                         payload.size());
-  std::string frame;
-  frame.reserve(payload.size() + static_cast<size_t>(n) + 2);
-  frame.append(size_line, static_cast<size_t>(n));
-  frame.append(payload);
-  frame.append("\r\n");
-  return Write(frame);
+  pending_.append(size_line, static_cast<size_t>(n));
+  pending_ += payload;
+  pending_ += "\r\n";
 }
 
-bool ResponseWriter::LastChunk() { return SendAll(fd_, "0\r\n\r\n", 5); }
+void ResponseWriter::LastChunk() { pending_ += "0\r\n\r\n"; }
+
+bool ResponseWriter::Flush() {
+  bool sent = SendAll(fd_, pending_.data(), pending_.size());
+  pending_.clear();
+  return sent;
+}
 
 // ------------------------------------------------------------ HttpListener
 
@@ -406,8 +407,9 @@ bool HttpListener::ServeOne(int fd, const std::string& peer,
 
 bool HttpListener::Reject(int fd, int status, int retry_after_s) {
   ResponseWriter writer(fd, /*keep_alive=*/false);
-  Account(status, writer.Head(status, /*content_type=*/"", /*chunked=*/false,
-                              0, retry_after_s));
+  writer.Head(status, /*content_type=*/"", /*chunked=*/false, 0,
+              retry_after_s);
+  Account(status, writer.Flush());
   return false;
 }
 

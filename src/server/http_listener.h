@@ -38,24 +38,29 @@ class Gauge;
 namespace server {
 
 /// Writes one response on a connection: a head, then either the whole
-/// body or a chunked body. Each call is one send(2); the head's
-/// `Connection` field is the listener's keep-alive decision for the
-/// request. A call returns false once the client is gone.
+/// body or a chunked body. Head(), Write(), Chunk() and LastChunk() append
+/// framed bytes to a pending buffer, and Flush() sends all of it in one
+/// send loop, so the route decides which bytes share a send: with Nagle
+/// on, a small send that follows an unacknowledged one waits for the
+/// client's ACK. The head's `Connection` field is the listener's
+/// keep-alive decision for the request.
 class ResponseWriter {
  public:
   ResponseWriter(int fd, bool keep_alive) : fd_(fd), keep_alive_(keep_alive) {}
 
-  /// Head and whole body together.
+  /// Head and whole body, flushed together.
   bool Send(const HttpResponse& resp);
-  /// The head alone: a Content-Length body follows through Write(), a
-  /// chunked one through Chunk() and LastChunk(). An empty content_type
-  /// omits the field.
-  bool Head(int status, const std::string& content_type, bool chunked,
+  /// The head: a Content-Length body follows through Write(), a chunked
+  /// one through Chunk() and LastChunk(). An empty content_type omits the
+  /// field.
+  void Head(int status, const std::string& content_type, bool chunked,
             size_t content_length, int retry_after_s = 0);
-  bool Write(const std::string& bytes);
+  void Write(const std::string& bytes);
   /// One chunk: hex size line, payload, CRLF.
-  bool Chunk(const std::string& payload);
-  bool LastChunk();
+  void Chunk(const std::string& payload);
+  void LastChunk();
+  /// Sends everything pending. Returns false once the client is gone.
+  bool Flush();
 
   /// The status of the head written, 0 before one.
   int status() const { return status_; }
@@ -64,6 +69,7 @@ class ResponseWriter {
   const int fd_;
   const bool keep_alive_;
   int status_ = 0;
+  std::string pending_;  // framed bytes not yet sent
 };
 
 class HttpListener {

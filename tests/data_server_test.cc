@@ -2,9 +2,10 @@
 // the service layer (sink threading, chunk/trace accounting, cache
 // replay), and the HTTP server end to end — chunked-vs-buffered payload
 // identity, keep-alive reuse, mid-stream deadline trailers, 429/503 with
-// Retry-After, and the defensive request-parsing paths. Runs under TSan
-// in CI (handlers, workers, and the accept loop all touch the stream
-// state).
+// Retry-After, the defensive request-parsing paths, which bytes share a
+// send (the response writer's flushes), a client reset mid-stream, and
+// JSON escapes in both directions. Runs under TSan in CI (handlers,
+// workers, and the accept loop all touch the stream state).
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <stdlib.h>
@@ -15,18 +16,23 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "datalog/parser.h"
 #include "durability/recovery.h"
 #include "eval/answer_sink.h"
 #include "live/snapshot_manager.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "server/data_server.h"
 #include "server/rate_limiter.h"
 #include "service/query_service.h"
@@ -361,12 +367,12 @@ struct DataFixture {
   std::unique_ptr<DataServer> server;
 
   explicit DataFixture(int n = 64, DataServerOptions opts = {},
-                       size_t cache_bytes = 0) {
+                       size_t cache_bytes = 0, size_t workers = 2) {
     source = workloads::Fig7b(db, n);
     Program program =
         ParseProgram(workloads::SgProgramText(), db.symbols()).take();
     QueryServiceOptions sopts;
-    sopts.num_threads = 2;
+    sopts.num_threads = workers;
     sopts.answer_cache_bytes = cache_bytes;
     service = std::make_unique<QueryService>(&db, program, sopts);
     EXPECT_TRUE(service->status().ok()) << service->status().message();
@@ -910,6 +916,386 @@ TEST(DataServerTest, ArraysAndDeepNestingAreAnswered400) {
               std::string::npos)
         << body;
   }
+}
+
+
+// ---------------------------------------------------------- flush points
+
+/// Reads one packet: on a SOCK_SEQPACKET socket, the bytes of one send.
+/// Empty when none is waiting.
+std::string ReadPacket(int fd) {
+  std::vector<char> buf(1 << 16);
+  ssize_t n = recv(fd, buf.data(), buf.size(), MSG_DONTWAIT);
+  return n > 0 ? std::string(buf.data(), static_cast<size_t>(n)) : "";
+}
+
+// A flush is one send of everything appended since the last one, framed
+// exactly as when each call was its own send.
+TEST(ResponseWriterTest, EachFlushIsOneSendOfTheSameFraming) {
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fds), 0);
+  server::ResponseWriter writer(fds[0], /*keep_alive=*/true);
+
+  writer.Head(200, "application/x-ndjson", /*chunked=*/true, 0);
+  writer.Chunk("{\"tuples\": [[\"a1\", \"b2\"]]}\n");
+  ASSERT_TRUE(writer.Flush());
+  EXPECT_EQ(ReadPacket(fds[1]),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+            "Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n"
+            "1b\r\n{\"tuples\": [[\"a1\", \"b2\"]]}\n\r\n");
+  EXPECT_EQ(ReadPacket(fds[1]), "");
+  EXPECT_EQ(writer.status(), 200);
+
+  writer.Chunk("x");
+  writer.Chunk(std::string(300, 'y'));
+  ASSERT_TRUE(writer.Flush());
+  EXPECT_EQ(ReadPacket(fds[1]),
+            "1\r\nx\r\n12c\r\n" + std::string(300, 'y') + "\r\n");
+
+  writer.Chunk("{\"trailer\": {}}\n");
+  writer.LastChunk();
+  ASSERT_TRUE(writer.Flush());
+  EXPECT_EQ(ReadPacket(fds[1]), "10\r\n{\"trailer\": {}}\n\r\n0\r\n\r\n");
+  ASSERT_TRUE(writer.Flush());  // nothing pending: nothing sent
+  EXPECT_EQ(ReadPacket(fds[1]), "");
+
+  server::ResponseWriter closing(fds[0], /*keep_alive=*/false);
+  server::HttpResponse busy;
+  busy.status = 503;
+  busy.body = "busy\n";
+  busy.retry_after_s = 1;
+  ASSERT_TRUE(closing.Send(busy));
+  EXPECT_EQ(ReadPacket(fds[1]),
+            "HTTP/1.1 503 Service Unavailable\r\n"
+            "Content-Type: text/plain; charset=utf-8\r\nContent-Length: 5\r\n"
+            "Retry-After: 1\r\nConnection: close\r\n\r\nbusy\n");
+
+  // Once the peer is gone, a flush reports it.
+  close(fds[1]);
+  closing.Write("late");
+  EXPECT_FALSE(closing.Flush());
+  close(fds[0]);
+}
+
+/// Whether `bytes` is a run of whole chunk frames (size line, payload,
+/// CRLF); *payloads receives each frame's payload.
+bool WholeChunkFrames(std::string bytes, std::vector<std::string>* payloads) {
+  while (!bytes.empty()) {
+    size_t eol = bytes.find("\r\n");
+    if (eol == std::string::npos) return false;
+    size_t len = std::strtoul(bytes.substr(0, eol).c_str(), nullptr, 16);
+    if (bytes.size() < eol + 2 + len + 2 ||
+        bytes.compare(eol + 2 + len, 2, "\r\n") != 0) {
+      return false;
+    }
+    payloads->push_back(bytes.substr(eol + 2, len));
+    bytes.erase(0, eol + 2 + len + 2);
+  }
+  return true;
+}
+
+/// Whether `bytes` hold exactly one whole response.
+bool WholeResponse(const std::string& bytes, HttpResult* out) {
+  std::string carry = bytes;
+  return ReadResponse(/*fd=*/-1, &carry, out) && carry.empty();
+}
+
+/// What the client's first recv holds of the response to `json`, sent as
+/// the second request of a keep-alive connection. On a reused connection
+/// Nagle holds a small send that follows an unacknowledged one until the
+/// client's delayed ACK (about 40 ms), so bytes that leave in separate
+/// sends arrive in separate reads. *whole receives the full response.
+std::string FirstReadOfSecondResponse(uint16_t port, const std::string& json,
+                                      HttpResult* whole) {
+  std::string first;
+  int fd = ConnectTo(port);
+  if (fd < 0) return first;
+  timeval tv{10, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::string warm =
+      QueryRequestRaw("{\"pred\": \"sg\", \"source\": \"nosuch\"}");
+  std::string raw = QueryRequestRaw(json);
+  std::string carry;
+  HttpResult warmed;
+  if (send(fd, warm.data(), warm.size(), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(warm.size()) &&
+      ReadResponse(fd, &carry, &warmed) && carry.empty() &&
+      send(fd, raw.data(), raw.size(), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(raw.size())) {
+    std::vector<char> buf(1 << 16);
+    ssize_t n = recv(fd, buf.data(), buf.size(), 0);
+    if (n > 0) {
+      first.assign(buf.data(), static_cast<size_t>(n));
+      carry = first;
+      ReadResponse(fd, &carry, whole);
+    }
+  }
+  close(fd);
+  return first;
+}
+
+// The data plane flushes a streamed response after its first event (the
+// head with every answer line ready by then), after each later drain, and
+// at the end (trailer and terminator). A buffered, empty-answer or error
+// response is one flush.
+TEST(DataServerTest, FirstReadHoldsTheHeadWithTheFirstAnswerLine) {
+  DataFixture fx(1024);
+  uint16_t port = fx.server->port();
+
+  // sg(a1, Y) runs for hundreds of milliseconds past its first chunk.
+  HttpResult whole;
+  std::string first = FirstReadOfSecondResponse(
+      port, "{\"pred\": \"sg\", \"source\": \"" + fx.source + "\"}", &whole);
+  size_t head_end = first.find("\r\n\r\n");
+  ASSERT_NE(head_end, std::string::npos) << first;
+  EXPECT_EQ(first.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << first;
+  std::vector<std::string> lines;
+  ASSERT_TRUE(WholeChunkFrames(first.substr(head_end + 4), &lines)) << first;
+  ASSERT_FALSE(lines.empty()) << "the head arrived alone: " << first;
+  for (const std::string& line : lines) {
+    EXPECT_EQ(line.rfind("{\"tuples\": ", 0), 0u) << line;
+  }
+  ASSERT_TRUE(whole.ok);
+  EXPECT_EQ(whole.chunks.front(), lines.front());
+  EXPECT_NE(whole.chunks.back().find("\"status\": \"ok\""), std::string::npos);
+
+  struct Case {
+    const char* what;
+    std::string json;
+    int status;
+  };
+  const Case whole_in_one_read[] = {
+      {"buffered",
+       "{\"pred\": \"sg\", \"source\": \"a1000\", \"stream\": false}", 200},
+      {"empty answer", "{\"pred\": \"sg\", \"source\": \"nosuch\"}", 200},
+      {"bad body", "{\"pred\": ", 400},
+      {"unknown predicate", "{\"pred\": \"nosuch\"}", 404},
+  };
+  for (const Case& c : whole_in_one_read) {
+    HttpResult full;
+    first = FirstReadOfSecondResponse(port, c.json, &full);
+    HttpResult in_first;
+    ASSERT_TRUE(WholeResponse(first, &in_first)) << c.what << ": " << first;
+    EXPECT_EQ(in_first.status, c.status) << c.what;
+    EXPECT_EQ(in_first.body, full.body) << c.what;
+  }
+}
+
+// A client that resets the connection mid-stream fails the handler's next
+// flush: the query is cancelled where it stands, the request counts as
+// one error, and the one handler thread and the one worker are free for
+// the next client.
+TEST(DataServerTest, ClientResetMidStreamCancelsTheQueryAndFreesTheWorker) {
+  DataServerOptions opts;
+  opts.handler_threads = 1;
+  DataFixture fx(1024, opts, /*cache_bytes=*/0, /*workers=*/1);
+  uint16_t port = fx.server->port();
+  size_t full =
+      fx.service->Eval(QueryRequest().set_pred("sg").set_source(fx.source))
+          .tuples.size();
+  ASSERT_GT(full, 0u);
+  obs::Counter* errors_total = obs::Registry::Global().GetCounter(
+      "binchain_dataplane_errors_total",
+      "Data-plane requests answered with a non-2xx status or dropped");
+  uint64_t errors_before = fx.server->request_errors();
+  uint64_t total_before = errors_total->Value();
+
+  int fd = ConnectTo(port);
+  ASSERT_GE(fd, 0);
+  timeval tv{10, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::string raw =
+      QueryRequestRaw("{\"pred\": \"sg\", \"source\": \"" + fx.source + "\"}");
+  ASSERT_EQ(send(fd, raw.data(), raw.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(raw.size()));
+  std::string got;
+  char buf[4096];
+  while (got.find("{\"tuples\": ") == std::string::npos) {
+    ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << got;
+    got.append(buf, static_cast<size_t>(n));
+  }
+  // Linger 0: close() resets the connection instead of a FIN.
+  linger reset{1, 0};
+  setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+  close(fd);
+
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fx.server->request_errors() == errors_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(fx.server->request_errors(), errors_before + 1);
+  EXPECT_EQ(errors_total->Value(), total_before + 1);
+
+  // The span ends cancelled, with only part of the answer set.
+  std::vector<obs::QueryTrace> spans = fx.service->flight_recorder().Snapshot();
+  auto cancelled = [](const obs::QueryTrace& t) { return t.cancelled; };
+  ASSERT_EQ(std::count_if(spans.begin(), spans.end(), cancelled), 1);
+  const obs::QueryTrace& cut =
+      *std::find_if(spans.begin(), spans.end(), cancelled);
+  EXPECT_FALSE(cut.timed_out);
+  EXPECT_GE(cut.chunks, 1u);
+  EXPECT_LT(cut.answers, full);
+
+  HttpResult next =
+      PostQuery(port, "{\"pred\": \"sg\", \"source\": \"a1000\"}");
+  ASSERT_TRUE(next.ok);
+  EXPECT_EQ(next.status, 200);
+  EXPECT_NE(next.body.find("\"status\": \"ok\""), std::string::npos);
+  EXPECT_EQ(fx.server->request_errors(), errors_before + 1);
+}
+
+// ------------------------------------------------------- JSON on the wire
+
+/// Decodes the JSON string at s[*pos] (its opening quote) and moves *pos
+/// past the closing quote. Knows every escape the server writes.
+bool ReadJsonString(const std::string& s, size_t* pos, std::string* out) {
+  if (*pos >= s.size() || s[*pos] != '"') return false;
+  for (size_t i = *pos + 1; i < s.size(); ++i) {
+    if (s[i] == '"') {
+      *pos = i + 1;
+      return true;
+    }
+    if (s[i] != '\\') {
+      out->push_back(s[i]);
+      continue;
+    }
+    if (++i == s.size()) return false;
+    switch (s[i]) {
+      case '"': out->push_back('"'); break;
+      case '\\': out->push_back('\\'); break;
+      case 'n': out->push_back('\n'); break;
+      case 'r': out->push_back('\r'); break;
+      case 't': out->push_back('\t'); break;
+      case 'u':
+        if (i + 4 >= s.size()) return false;
+        out->push_back(static_cast<char>(
+            std::strtoul(s.substr(i + 1, 4).c_str(), nullptr, 16)));
+        i += 4;
+        break;
+      default: return false;
+    }
+  }
+  return false;
+}
+
+using NamePairs = std::vector<std::pair<std::string, std::string>>;
+
+/// The sorted [source, target] pairs of an NDJSON body's answer lines.
+bool DecodeAnswers(const std::string& body, NamePairs* out) {
+  const std::string open = "{\"tuples\": [";
+  size_t start = 0;
+  while (start < body.size()) {
+    size_t eol = body.find('\n', start);
+    if (eol == std::string::npos) return false;
+    std::string line = body.substr(start, eol - start);
+    start = eol + 1;
+    if (line.rfind("{\"trailer\": ", 0) == 0) continue;
+    if (line.rfind(open, 0) != 0) return false;
+    size_t pos = open.size();
+    while (line.compare(pos, 2, "]}") != 0) {
+      std::pair<std::string, std::string> pair;
+      if (line.compare(pos, 1, "[") != 0) return false;
+      ++pos;
+      if (!ReadJsonString(line, &pos, &pair.first) ||
+          line.compare(pos, 2, ", ") != 0) {
+        return false;
+      }
+      pos += 2;
+      if (!ReadJsonString(line, &pos, &pair.second) ||
+          line.compare(pos, 1, "]") != 0) {
+        return false;
+      }
+      ++pos;
+      if (line.compare(pos, 2, ", ") == 0) pos += 2;
+      out->push_back(std::move(pair));
+    }
+  }
+  std::sort(out->begin(), out->end());
+  return true;
+}
+
+// Constants that need every escape, and request bodies that use every
+// decoder escape and the target, diagonal and client_id fields, answered
+// over the socket exactly as in-process Eval answers the same request.
+TEST(DataServerTest, EscapedConstantsAndEveryBodyFieldMatchInProcessEval) {
+  Database db;
+  workloads::Fig7b(db, 4);
+  const std::string src = "s/\xc3\xa9\xe2\x82\xac";  // s/é€: 2- and 3-byte
+  const std::string ctl = "ctl\b\f\n\r\t";
+  const std::string diag = "d\\iag";
+  for (const std::string& odd :
+       {std::string("q\"uote"), std::string("back\\slash"), ctl,
+        std::string("low\x01\x1f"), diag}) {
+    db.AddFact("flat", {src, odd});
+  }
+  db.AddFact("flat", {diag, diag});
+  QueryServiceOptions sopts;
+  sopts.num_threads = 2;
+  QueryService service(&db, SgProgram(db), sopts);
+  ASSERT_TRUE(service.status().ok()) << service.status().message();
+  DataServerOptions opts;
+  opts.rate_limit.qps = 0.001;  // one request per client id
+  opts.rate_limit.burst = 1;
+  opts.peer_qps_multiplier = 1000;
+  DataServer srv(&service, opts);
+  ASSERT_TRUE(srv.Start().ok());
+
+  struct Case {
+    std::string body;
+    QueryRequest request;
+  };
+  const Case cases[] = {
+      {R"({"pred": "sg", "source": "s\/\u00e9\u20ac", "client_id": "c1"})",
+       QueryRequest().set_pred("sg").set_source(src)},
+      {R"({"pred": "sg", "target": "ctl\b\f\n\r\t", "client_id": "c2"})",
+       QueryRequest().set_pred("sg").set_target(ctl)},
+      {R"({"pred": "sg", "diagonal": true, "client_id": "c3"})",
+       QueryRequest().set_pred("sg").set_diagonal(true)},
+      {R"({"pred": "sg", "target": "q\"uote", "client_id": "c4"})",
+       QueryRequest().set_pred("sg").set_target("q\"uote")},
+      {R"({"pred": "sg", "source": "d\\iag", "client_id": "c5"})",
+       QueryRequest().set_pred("sg").set_source(diag)},
+      {R"({"pred": "sg", "target": "low\u0001\u001f", "client_id": "c6"})",
+       QueryRequest().set_pred("sg").set_target("low\x01\x1f")},
+  };
+  for (const Case& c : cases) {
+    QueryResponse expected = service.Eval(c.request);
+    ASSERT_TRUE(expected.status.ok()) << c.body;
+    ASSERT_FALSE(expected.tuples.empty()) << c.body;
+    NamePairs want;
+    for (const Tuple& t : expected.tuples) {
+      want.emplace_back(db.symbols().Name(t[0]), db.symbols().Name(t[1]));
+    }
+    std::sort(want.begin(), want.end());
+
+    HttpResult r = PostQuery(srv.port(), c.body);
+    ASSERT_TRUE(r.ok) << c.body;
+    ASSERT_EQ(r.status, 200) << c.body << "\n" << r.body;
+    NamePairs got;
+    ASSERT_TRUE(DecodeAnswers(r.body, &got)) << r.body;
+    EXPECT_EQ(got, want) << c.body;
+  }
+
+  // The wire spellings: the two-character escapes, \u00XX for the other
+  // control bytes, and UTF-8 and '/' as they are.
+  HttpResult r = PostQuery(srv.port(),
+                           "{\"pred\": \"sg\", \"source\": \"" + src +
+                               "\", \"client_id\": \"c7\"}");
+  ASSERT_EQ(r.status, 200) << r.body;
+  for (const char* spelling :
+       {R"(["s/é€", "q\"uote"])", R"(["s/é€", "back\\slash"])",
+        R"(["s/é€", "ctl\u0008\u000c\n\r\t"])",
+        R"(["s/é€", "low\u0001\u001f"])", R"(["s/é€", "d\\iag"])"}) {
+    EXPECT_NE(r.body.find(spelling), std::string::npos) << spelling;
+  }
+
+  // The body's client_id outranks the X-Client-Id header: c1 has spent
+  // its one request whatever the header says, and c8 has not.
+  std::string again = "{\"pred\": \"sg\", \"source\": \"a1\", \"client_id\": ";
+  EXPECT_EQ(PostQuery(srv.port(), again + "\"c1\"}", "c8").status, 429);
+  EXPECT_EQ(PostQuery(srv.port(), again + "\"c8\"}", "c1").status, 200);
 }
 
 }  // namespace
