@@ -352,7 +352,10 @@ struct CancelResult {
   double latency_p50_ms = 0;    // overshoot past the deadline, median
   double latency_max_ms = 0;    // overshoot past the deadline, worst
   uint64_t partial_tuples = 0;  // answers gathered before the last unwind
-  StatusCounts status;
+  /// Attempts whose deadline expired before the worker picked them up,
+  /// each resubmitted: a host stall, not an unwind.
+  uint64_t queue_expiries = 0;
+  StatusCounts status;  // one per query: its in-flight unwind
   bool ok = true;
   std::string error;
 };
@@ -386,13 +389,26 @@ CancelResult RunCancellationLatency(size_t n, int reps) {
   // unwind is always mid-flight.
   cr.deadline_ms = std::max(2.0, cr.uncancelled_ms / 16);
   cr.queries = static_cast<uint64_t>(std::max(3, reps * 3));
+  // The budget also covers queue pickup, so a host stall longer than it
+  // answers a query unevaluated (partial false). That expiry is service
+  // behaviour the tests cover, not the unwind this block times: the query
+  // is resubmitted, a bounded number of times.
+  constexpr int kAttempts = 5;
   std::vector<double> overshoot;
   for (uint64_t i = 0; i < cr.queries; ++i) {
     QueryRequest limited = req;
     limited.options.deadline_ms = cr.deadline_ms;
-    t0 = std::chrono::steady_clock::now();
-    QueryResponse resp = service.Eval(limited);
-    double ms = MsSince(t0);
+    QueryResponse resp;
+    double ms = 0;
+    for (int attempt = 1;; ++attempt) {
+      t0 = std::chrono::steady_clock::now();
+      resp = service.Eval(limited);
+      ms = MsSince(t0);
+      bool queue_expiry =
+          resp.status.code() == StatusCode::kDeadlineExceeded && !resp.partial;
+      if (!queue_expiry || attempt == kAttempts) break;
+      ++cr.queue_expiries;
+    }
     cr.status.Count(resp.status);
     if (resp.status.code() != StatusCode::kDeadlineExceeded ||
         !resp.partial) {
@@ -450,9 +466,10 @@ StreamingResult RunStreaming(size_t n, int reps) {
     std::chrono::steady_clock::time_point t0;
     double first_ms = -1;
     uint64_t chunks = 0;
-    void OnAnswers(const Tuple*, size_t, const SymbolTable&) override {
+    bool OnAnswers(const Tuple*, size_t, const SymbolTable&) override {
       if (first_ms < 0) first_ms = MsSince(t0);
       ++chunks;
+      return true;
     }
   };
 
@@ -980,11 +997,13 @@ int main(int argc, char** argv) {
     std::printf(
         "cancellation latency (fig7b/n=512): uncancelled %.2f ms, deadline "
         "%.2f ms, overshoot p50 %.3f ms / max %.3f ms over %llu queries "
-        "(%llu partial tuples at last unwind)\n",
+        "(%llu partial tuples at last unwind, %llu queue expiries "
+        "resubmitted)\n",
         cancel.uncancelled_ms, cancel.deadline_ms, cancel.latency_p50_ms,
         cancel.latency_max_ms,
         static_cast<unsigned long long>(cancel.queries),
-        static_cast<unsigned long long>(cancel.partial_tuples));
+        static_cast<unsigned long long>(cancel.partial_tuples),
+        static_cast<unsigned long long>(cancel.queue_expiries));
   } else {
     std::printf("cancellation latency: ERROR: %s\n", cancel.error.c_str());
   }
@@ -1081,6 +1100,7 @@ int main(int argc, char** argv) {
         << ", \"uncancelled_ms\": " << cancel.uncancelled_ms
         << ", \"latency_p50_ms\": " << cancel.latency_p50_ms
         << ", \"latency_max_ms\": " << cancel.latency_max_ms
+        << ", \"queue_expiries\": " << cancel.queue_expiries
         << ", \"status\": " << status_json(cancel.status) << "},\n";
     out << "  \"streaming\": {\"name\": \"" << JsonEscape(streaming.name)
         << "\", \"ok\": " << (streaming.ok ? "true" : "false")

@@ -38,6 +38,12 @@ fails (exit 1) on structural regressions that survive machine-speed noise:
   prebuilt views) must report the same ``fetches`` and ``nodes`` as its
   ``ours`` row (the same query through ``QueryEngine::Query``): the
   facade may cost wall time, never EDB retrievals or nodes of G(p, a, i);
+* ``bench_storage``: the paper's counts against the committed snapshot —
+  a row named like a committed row (same workload, strategy and size)
+  must report its ``fetches``, ``nodes`` and ``results``, so a change that
+  moves them on ``ours`` and ``ours-core`` alike still fails. A smoke run
+  uses other sizes and shares no row name; a run that shares any is a
+  full-size run and must carry every committed row;
 * ``bench_live``: the publish-scaling sanity flag, when present in both
   files, must not regress from sublinear to superlinear;
 * ``bench_live``: write amplification must not grow with the database —
@@ -321,10 +327,24 @@ def check_service(baseline, smoke, errors):
 
 
 def check_storage(baseline, smoke, errors):
-    del baseline  # smoke sizes differ; only invariants are checked
     entries = smoke.get("benchmarks", [])
     check_ok_flags("storage", entries, errors)
     by_name = {b.get("name"): b for b in entries}
+    committed = {b.get("name"): b for b in baseline.get("benchmarks", [])}
+    shared = [name for name in by_name if name in committed]
+    for name in shared:
+        for key in ("fetches", "nodes", "results"):
+            if by_name[name].get(key) != committed[name].get(key):
+                errors.append(
+                    f"storage: field '{key}' of '{name}' differs from the "
+                    f"committed snapshot: baseline={committed[name].get(key)}, "
+                    f"current={by_name[name].get(key)}")
+    if shared:
+        for name in committed:
+            if name not in by_name:
+                errors.append(
+                    f"storage: full-size run has no '{name}' row, which the "
+                    "committed snapshot has")
     for core in entries:
         name = core.get("name", "")
         if "/ours-core" not in name:

@@ -21,7 +21,7 @@
 // (graph strategy only) the queries are dispatched as one batch to a
 // QueryService over a frozen database snapshot, N workers wide, and the
 // batch throughput is reported. --async switches that dispatch to the
-// future-based submission API (per-query futures, completion callback);
+// future-based submission API (per-query futures, batch stats on Take);
 // --deadline-ms=X gives every query an evaluation budget enforced both at
 // pickup and mid-flight (expired traversals unwind with partial answers),
 // and --queue-depth=N sets the submission queue's high-water mark past
@@ -675,13 +675,11 @@ int main(int argc, char** argv) {
     BatchStats stats;
     std::vector<QueryResponse> responses;
     if (async) {
-      // Async submission: per-query futures, aggregates delivered through
-      // the completion callback (fired by the worker finishing last).
-      BatchHandle handle = service.SubmitBatch(batch, [](const BatchStats& s) {
-        std::printf("[async] batch complete: %llu queries, %.3f ms\n",
-                    static_cast<unsigned long long>(s.queries), s.wall_ms);
-      });
-      responses = handle.Take(&stats);
+      // Async submission: per-query futures, aggregates reported by Take.
+      responses = service.SubmitBatch(batch).Take(&stats);
+      std::printf("[async] batch complete: %llu queries, %.3f ms\n",
+                  static_cast<unsigned long long>(stats.queries),
+                  stats.wall_ms);
     } else {
       responses = service.EvalBatch(batch, &stats);
     }

@@ -27,13 +27,16 @@
 // until the evaluating call returns. Implementations are invoked on the
 // evaluating thread — a service worker, not the submitting thread — and
 // must be safe against whatever the owner does concurrently (the data
-// plane's sink takes a mutex per chunk; per-chunk work should stay small
-// because it runs inside the traversal).
+// plane's sink renders each chunk into its response and offers it to the
+// socket without blocking; per-chunk work should stay small because it
+// runs inside the traversal).
 //
 // Exactly-once: every answer appears in exactly one chunk; chunks are
 // never empty. A cancelled/deadlined evaluation has delivered a valid
 // prefix of the answer set — the same prefix the partial response
-// carries.
+// carries. A consumer that is gone (a client that hung up) refuses a
+// chunk by returning false from OnAnswers; the query service then cancels
+// the request, so the engine unwinds at its next cancellation point.
 #ifndef BINCHAIN_EVAL_ANSWER_SINK_H_
 #define BINCHAIN_EVAL_ANSWER_SINK_H_
 
@@ -62,7 +65,10 @@ class AnswerTermSink {
 class AnswerSink {
  public:
   virtual ~AnswerSink() = default;
-  virtual void OnAnswers(const Tuple* tuples, size_t count,
+  /// Returns false when the consumer is gone and wants no more chunks.
+  /// QueryService then cancels the request and calls the sink no more;
+  /// a direct QueryEngine caller owns its token and cancels it itself.
+  virtual bool OnAnswers(const Tuple* tuples, size_t count,
                          const SymbolTable& symbols) = 0;
 };
 

@@ -59,7 +59,7 @@ struct QueryTrace {
 
   double queue_wait_ms = 0;  ///< submit -> worker pickup
   double eval_ms = 0;        ///< worker pickup -> evaluator return
-  double total_ms = 0;       ///< submit -> completion callback
+  double total_ms = 0;       ///< submit -> completion
 
   uint64_t iterations = 0;     ///< fixpoint iterations
   uint64_t expansions = 0;     ///< machine copies appended to EM(p, i)

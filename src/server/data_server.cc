@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -414,53 +410,72 @@ Status DecodeQueryBody(const std::string& body, QueryRequest* out,
 
 // ---------------------------------------------------------- answer stream
 
-/// Hand-off buffer between the evaluating worker (the sink's producer
-/// side) and the HTTP handler draining lines to the socket. `done` is set
-/// by the batch completion callback — strictly after the last sink call,
-/// so `done && lines.empty()` means the stream is complete.
-///
-/// Lifetime: always heap-owned through a shared_ptr held by the handler,
-/// the sink, AND the completion callback, and every producer-side notify
-/// happens with `mu` held. Both halves close the same race: the handler
-/// can wake (spuriously, or off an earlier notify), see `done`, and
-/// return — if the callback notified after unlocking a stack-owned
-/// state, it would then touch a destroyed mu/cv. Shared ownership keeps
-/// the state alive past the handler's return; notifying under the lock
-/// means the predicate cannot become observable before the notify has
-/// finished.
-struct StreamState {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::string> lines;
-  bool done = false;
-};
+constexpr char kNdjson[] = "application/x-ndjson";
 
-/// Renders each answer chunk as one NDJSON line. Runs on the evaluating
-/// worker thread; shares ownership of the stream state (see above).
+/// Renders each answer chunk as one NDJSON line on the thread that
+/// delivers it: the evaluating worker, or the handler itself for a cache
+/// hit. Streamed, the line goes straight into the request's response: the
+/// first chunk writes the 200 chunked head, and every chunk is offered to
+/// the socket at once without blocking, so a slow reader never holds the
+/// worker (what the kernel does not take leaves with the handler's final
+/// flush). A client that is gone refuses the chunk, which cancels the
+/// query. Buffered (`"stream": false`), the lines collect into the
+/// Content-Length body instead. The handler touches the writer again only
+/// after Take() returned, which orders it after the last chunk.
 class NdjsonSink : public AnswerSink {
  public:
-  explicit NdjsonSink(std::shared_ptr<StreamState> state)
-      : state_(std::move(state)) {}
+  NdjsonSink(ResponseWriter* writer, bool stream,
+             std::chrono::steady_clock::time_point t0,
+             obs::Histogram* first_chunk_ms)
+      : writer_(writer),
+        stream_(stream),
+        t0_(t0),
+        first_chunk_ms_(first_chunk_ms) {}
 
-  void OnAnswers(const Tuple* tuples, size_t count,
+  bool OnAnswers(const Tuple* tuples, size_t count,
                  const SymbolTable& symbols) override {
-    std::string line = "{\"tuples\": [";
-    for (size_t i = 0; i < count; ++i) {
-      if (i > 0) line += ", ";
-      line += "[\"";
-      line += EscapeJson(symbols.Name(tuples[i][0]));
-      line += "\", \"";
-      line += EscapeJson(symbols.Name(tuples[i][1]));
-      line += "\"]";
+    ++chunks_;
+    if (!stream_) {
+      AppendLine(tuples, count, symbols, &body_);
+      return true;
     }
-    line += "]}\n";
-    std::lock_guard<std::mutex> lock(state_->mu);
-    state_->lines.push_back(std::move(line));
-    state_->cv.notify_one();
+    line_.clear();
+    AppendLine(tuples, count, symbols, &line_);
+    if (chunks_ == 1) writer_->Head(200, kNdjson, /*chunked=*/true, 0);
+    writer_->Chunk(line_);
+    if (!writer_->TrySend()) return false;
+    if (chunks_ == 1) first_chunk_ms_->Observe(MsSince(t0_));
+    return true;
   }
 
+  /// Answer chunks written; a streamed response has its head once this
+  /// is non-zero.
+  size_t chunks() const { return chunks_; }
+  /// The buffered body's answer lines.
+  const std::string& body() const { return body_; }
+
  private:
-  std::shared_ptr<StreamState> state_;
+  static void AppendLine(const Tuple* tuples, size_t count,
+                         const SymbolTable& symbols, std::string* out) {
+    *out += "{\"tuples\": [";
+    for (size_t i = 0; i < count; ++i) {
+      if (i > 0) *out += ", ";
+      *out += "[\"";
+      *out += EscapeJson(symbols.Name(tuples[i][0]));
+      *out += "\", \"";
+      *out += EscapeJson(symbols.Name(tuples[i][1]));
+      *out += "\"]";
+    }
+    *out += "]}\n";
+  }
+
+  ResponseWriter* const writer_;
+  const bool stream_;
+  const std::chrono::steady_clock::time_point t0_;
+  obs::Histogram* const first_chunk_ms_;
+  size_t chunks_ = 0;
+  std::string line_;  // the streamed chunk being framed, reused
+  std::string body_;
 };
 
 /// The stream's final NDJSON line: terminal status, epoch, and the
@@ -493,25 +508,17 @@ std::string RenderTrailer(const QueryResponse& resp) {
 
 // ------------------------------------------------------- response framing
 
-constexpr char kNdjson[] = "application/x-ndjson";
-
-/// A buffered response: the head and the whole body in one send.
-bool WriteBuffered(ResponseWriter* writer, int status,
-                   const std::string& body, int retry_after_s = 0) {
-  writer->Head(status, kNdjson, /*chunked=*/false, body.size(),
-               retry_after_s);
-  writer->Write(body);
-  return writer->Flush();
-}
-
-/// An error response: one JSON line naming the terminal status.
+/// An error response: one JSON line naming the terminal status, sent with
+/// its head in one send.
 bool WriteError(ResponseWriter* writer, int status, const Status& why,
                 int retry_after_s = 0) {
-  return WriteBuffered(writer, status,
-                       "{\"error\": \"" + EscapeJson(why.message()) +
-                           "\", \"status\": \"" +
-                           StatusWireName(why.code()) + "\"}\n",
-                       retry_after_s);
+  HttpResponse resp;
+  resp.status = status;
+  resp.content_type = kNdjson;
+  resp.body = "{\"error\": \"" + EscapeJson(why.message()) +
+              "\", \"status\": \"" + StatusWireName(why.code()) + "\"}\n";
+  resp.retry_after_s = retry_after_s;
+  return writer->Send(resp);
 }
 
 // ---------------------------------------------------------------- admission
@@ -629,33 +636,13 @@ bool DataServer::HandleQuery(const HttpRequest& req, ResponseWriter* writer) {
         retry_s);
   }
 
-  auto state = std::make_shared<StreamState>();
-  NdjsonSink sink(state);
+  NdjsonSink sink(writer, stream, t0, m_first_chunk_ms_);
   query.sink = &sink;
+  QueryResponse resp = service_->Submit(std::move(query)).Take();
 
-  std::vector<QueryRequest> batch;
-  batch.push_back(std::move(query));
-  BatchHandle handle =
-      service_->SubmitBatch(std::move(batch), [state](const BatchStats&) {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->done = true;
-        state->cv.notify_all();
-      });
-  QueryFuture& future = handle.future(0);
-
-  // Wait for the first event: an answer chunk (the stream is live — commit
-  // to 200) or completion with nothing emitted (failures and empty answer
-  // sets — the terminal status can still pick the HTTP status line).
-  bool done_first = false;
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait(lock,
-                   [&state] { return !state->lines.empty() || state->done; });
-    done_first = state->done && state->lines.empty();
-  }
-
-  if (done_first) {
-    QueryResponse resp = future.Take();
+  // No chunk written yet: the terminal status still picks the status line
+  // (failures before evaluation, and empty answer sets).
+  if (sink.chunks() == 0) {
     StatusCode code = resp.status.code();
     if (code == StatusCode::kOverloaded || code == StatusCode::kUnavailable) {
       m_overloaded_->Inc();
@@ -666,82 +653,26 @@ bool DataServer::HandleQuery(const HttpRequest& req, ResponseWriter* writer) {
         code == StatusCode::kUnsupported) {
       return send_error(400, resp.status, 0);
     }
-    // Admitted and evaluated (ok, or expired/cancelled before any flush):
-    // 200, with the whole story in the trailer.
-    std::string body = RenderTrailer(resp);
-    if (stream) {
-      writer->Head(200, kNdjson, /*chunked=*/true, 0);
-      writer->Chunk(body);
-      writer->LastChunk();
-      if (!writer->Flush()) return false;
-      m_streamed_->Inc();
-    } else if (!WriteBuffered(writer, 200, body)) {
-      return false;
-    }
-    m_request_ms_->Observe(MsSince(t0));
-    return true;
   }
-
-  if (!stream) {
-    // Buffered mode: let the evaluation finish, then frame the exact same
-    // NDJSON lines as one Content-Length body. Byte-identical to the
-    // streamed payload by construction — same sink, same renderer.
-    {
-      std::unique_lock<std::mutex> lock(state->mu);
-      state->cv.wait(lock, [&state] { return state->done; });
-    }
-    QueryResponse resp = future.Take();
-    std::string trailer = RenderTrailer(resp);
-    size_t length = trailer.size();
-    for (const std::string& line : state->lines) length += line.size();
-    writer->Head(200, kNdjson, /*chunked=*/false, length);
-    for (const std::string& line : state->lines) writer->Write(line);
+  // Admitted and evaluated (ok, or expired/cancelled, whole or partial):
+  // 200, with the whole story in the trailer. The trailer leaves with the
+  // terminator, after the last chunk's send; buffered, the answer lines
+  // and the trailer are one Content-Length body, byte-identical to the
+  // streamed payload (same sink, same renderer).
+  std::string trailer = RenderTrailer(resp);
+  if (stream) {
+    if (sink.chunks() == 0) writer->Head(200, kNdjson, /*chunked=*/true, 0);
+    writer->Chunk(trailer);
+    writer->LastChunk();
+  } else {
+    writer->Head(200, kNdjson, /*chunked=*/false,
+                 sink.body().size() + trailer.size());
+    writer->Write(sink.body());
     writer->Write(trailer);
-    m_chunks_->Inc(state->lines.size());
-    if (!writer->Flush()) return false;
-    m_request_ms_->Observe(MsSince(t0));
-    return true;
   }
-
-  // Streaming: commit to 200 + chunked and relay lines as they land. The
-  // head leaves with the first drain, each later drain is one flush of
-  // every line ready by then (never waiting for more, so delivery stays
-  // incremental), and the trailer leaves with the terminator. A failed
-  // flush means the client is gone: cancel the query, then drain to
-  // completion so the sink is provably idle before it leaves scope.
-  writer->Head(200, kNdjson, /*chunked=*/true, 0);
-  bool write_ok = true;
-  bool first_flush = true;
-  std::deque<std::string> ready;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(state->mu);
-      state->cv.wait(lock,
-                     [&state] { return !state->lines.empty() || state->done; });
-      ready.swap(state->lines);
-      if (ready.empty() && state->done) break;
-    }
-    for (const std::string& line : ready) writer->Chunk(line);
-    write_ok = writer->Flush();
-    if (!write_ok) {
-      future.Cancel();
-      std::unique_lock<std::mutex> lock(state->mu);
-      state->cv.wait(lock, [&state] { return state->done; });
-      break;
-    }
-    if (first_flush) {
-      first_flush = false;
-      m_first_chunk_ms_->Observe(MsSince(t0));
-    }
-    m_chunks_->Inc(ready.size());
-    ready.clear();
-  }
-  QueryResponse resp = future.Take();
-  if (!write_ok) return false;
-  writer->Chunk(RenderTrailer(resp));
-  writer->LastChunk();
+  m_chunks_->Inc(sink.chunks());
   if (!writer->Flush()) return false;
-  m_streamed_->Inc();
+  if (stream) m_streamed_->Inc();
   m_request_ms_->Observe(MsSince(t0));
   return true;
 }

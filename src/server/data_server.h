@@ -11,12 +11,14 @@
 //  * Streaming by default: the response is NDJSON answer chunks under
 //    chunked transfer encoding, delivered *while the fixpoint runs*. The
 //    handler threads an AnswerSink through the request the same way the
-//    CancelToken is threaded, so the first chunk leaves the socket at the
-//    engine's first flush point, strictly before evaluation completes on
-//    multi-iteration workloads. A final trailer line carries the terminal
-//    status, epoch, and EvalStats. `"stream": false` buffers the same
-//    lines into one Content-Length response — byte-identical payload, no
-//    incremental delivery.
+//    CancelToken is threaded; the sink writes each chunk into the
+//    response and offers it to the socket from the evaluating thread,
+//    without blocking, so the first chunk leaves at the engine's first
+//    flush point, strictly before evaluation completes on multi-iteration
+//    workloads. A final trailer line carries the terminal status, epoch,
+//    and EvalStats. `"stream": false` buffers the same lines into one
+//    Content-Length response — byte-identical payload, no incremental
+//    delivery.
 //  * Keep-alive: queries are request/response conversations, so (unlike
 //    the admin plane) connections are reused up to
 //    max_requests_per_connection; chunked framing makes each response
@@ -35,10 +37,11 @@
 // one route, POST /v1/query: the accept thread, the handler pool, the
 // request reader (framing, 404/405/411/413) and the response writer are
 // the same code the admin plane runs. A handler holds its connection for
-// the connection's keep-alive life and blocks on its query's chunks, so
-// handler_threads bounds concurrent HTTP-driven evaluations — set it
-// below the service's worker count to keep in-process callers from
-// starving.
+// the connection's keep-alive life and waits for its query's response
+// (the worker writes the chunks; the handler then writes the status line
+// if no chunk was written, and the trailer), so handler_threads bounds
+// concurrent HTTP-driven evaluations — set it below the service's worker
+// count to keep in-process callers from starving.
 #ifndef BINCHAIN_SERVER_DATA_SERVER_H_
 #define BINCHAIN_SERVER_DATA_SERVER_H_
 
@@ -69,7 +72,7 @@ struct DataServerOptions {
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   uint16_t port = 0;
   /// Handler threads — the bound on concurrent HTTP-driven queries (each
-  /// handler blocks on one query's stream at a time).
+  /// handler waits on one query at a time).
   size_t handler_threads = 4;
   /// Cap on the request head (request line + headers); larger heads are
   /// answered 431 and the connection dropped.
@@ -77,7 +80,8 @@ struct DataServerOptions {
   /// Cap on the JSON body; a Content-Length past this is answered 413.
   size_t max_body_bytes = 1024 * 1024;
   /// Per-connection socket send/receive timeout (slowloris guard). Also
-  /// bounds how long a dead client can stall a streaming handler.
+  /// bounds how long a dead client can stall a handler's final flush; the
+  /// evaluating worker's sends never block.
   int io_timeout_ms = 10000;
   /// listen(2) backlog.
   int accept_backlog = 64;
@@ -110,8 +114,9 @@ class DataServer {
   DataServer& operator=(const DataServer&) = delete;
 
   // Lifecycle and counters are the listener's; HttpListener documents
-  // them. In-flight streams finish on Stop() (their queries complete or
-  // get cancelled by client drop). The destructor stops the server.
+  // them. In-flight streams finish on Stop() (their queries complete, or
+  // are cancelled when a send finds the client gone). The destructor
+  // stops the server.
   Status Start() { return listener_.Start(); }
   void Stop() { listener_.Stop(); }
   bool running() const { return listener_.running(); }
@@ -120,8 +125,10 @@ class DataServer {
   uint64_t request_errors() const { return listener_.request_errors(); }
 
  private:
-  /// Decodes, admits, submits, and streams (or buffers) one query.
-  /// Returns whether the whole response was written.
+  /// Decodes, admits, submits and takes one query (its sink streams or
+  /// buffers the answer lines), then writes the status line if no chunk
+  /// was written, and the trailer. Returns whether the whole response was
+  /// written.
   bool HandleQuery(const HttpRequest& req, ResponseWriter* writer);
 
   const DataServerOptions options_;

@@ -157,9 +157,27 @@ void ResponseWriter::Chunk(const std::string& payload) {
 
 void ResponseWriter::LastChunk() { pending_ += "0\r\n\r\n"; }
 
-bool ResponseWriter::Flush() {
-  bool sent = SendAll(fd_, pending_.data(), pending_.size());
+bool ResponseWriter::TrySend() {
+  while (sent_ < pending_.size()) {
+    ssize_t w = send(fd_, pending_.data() + sent_, pending_.size() - sent_,
+                     MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (w <= 0) {
+      if (w < 0 && errno == EINTR) continue;
+      // A full send buffer is a slow reader, not a lost one: the rest
+      // waits for the next send.
+      return w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+    }
+    sent_ += static_cast<size_t>(w);
+  }
   pending_.clear();
+  sent_ = 0;
+  return true;
+}
+
+bool ResponseWriter::Flush() {
+  bool sent = SendAll(fd_, pending_.data() + sent_, pending_.size() - sent_);
+  pending_.clear();
+  sent_ = 0;
   return sent;
 }
 

@@ -39,11 +39,14 @@ namespace server {
 
 /// Writes one response on a connection: a head, then either the whole
 /// body or a chunked body. Head(), Write(), Chunk() and LastChunk() append
-/// framed bytes to a pending buffer, and Flush() sends all of it in one
-/// send loop, so the route decides which bytes share a send: with Nagle
-/// on, a small send that follows an unacknowledged one waits for the
-/// client's ACK. The head's `Connection` field is the listener's
-/// keep-alive decision for the request.
+/// framed bytes to a pending buffer. Flush() sends all of it in one send
+/// loop, blocking up to the socket's send timeout; TrySend() offers it to
+/// the socket without blocking and keeps what the kernel does not take, so
+/// a thread that must not wait on a slow reader (the data plane's
+/// evaluating worker) can still stream. The route decides which bytes
+/// share a send: with Nagle on, a small send that follows an
+/// unacknowledged one waits for the client's ACK. The head's `Connection`
+/// field is the listener's keep-alive decision for the request.
 class ResponseWriter {
  public:
   ResponseWriter(int fd, bool keep_alive) : fd_(fd), keep_alive_(keep_alive) {}
@@ -59,6 +62,10 @@ class ResponseWriter {
   /// One chunk: hex size line, payload, CRLF.
   void Chunk(const std::string& payload);
   void LastChunk();
+  /// Sends what the socket takes now, without blocking, and keeps the rest
+  /// for the next TrySend() or Flush(). Returns false once the client is
+  /// gone.
+  bool TrySend();
   /// Sends everything pending. Returns false once the client is gone.
   bool Flush();
 
@@ -69,7 +76,8 @@ class ResponseWriter {
   const int fd_;
   const bool keep_alive_;
   int status_ = 0;
-  std::string pending_;  // framed bytes not yet sent
+  std::string pending_;  // framed bytes; the first sent_ already left
+  size_t sent_ = 0;
 };
 
 class HttpListener {

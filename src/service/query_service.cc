@@ -45,20 +45,29 @@ uint64_t FingerprintProgram(const std::string& rendered) {
 }
 
 /// Wraps a request's streaming sink for one evaluation: counts delivered
-/// chunks (QueryTrace::chunks) on the way through. Stack-local in RunOne.
+/// chunks (QueryTrace::chunks) on the way through, and cancels the request
+/// once the sink refuses a chunk (its consumer is gone), so the engine
+/// unwinds at its next cancellation point. Stack-local in RunOne.
 class CountingSink : public AnswerSink {
  public:
-  explicit CountingSink(AnswerSink* inner) : inner_(inner) {}
+  CountingSink(AnswerSink* inner, CancelToken* token)
+      : inner_(inner), token_(token) {}
   uint64_t chunks = 0;
-  void OnAnswers(const Tuple* tuples, size_t count,
+  bool OnAnswers(const Tuple* tuples, size_t count,
                  const SymbolTable& symbols) override {
-    if (count == 0) return;
+    if (refused_) return false;
+    if (count == 0) return true;
     ++chunks;
-    inner_->OnAnswers(tuples, count, symbols);
+    if (inner_->OnAnswers(tuples, count, symbols)) return true;
+    refused_ = true;
+    token_->Cancel();
+    return false;
   }
 
  private:
   AnswerSink* inner_;
+  CancelToken* token_;
+  bool refused_ = false;
 };
 
 }  // namespace
@@ -151,15 +160,13 @@ struct ServiceObs {
 
 /// Per-batch shared state: the completion rendezvous (mutex + condvar over
 /// `remaining`), the order-independent aggregates folded in as queries
-/// land, the epoch pin, and the completion callback the last finisher
-/// fires. Single submissions are one-query batches, so every query has
-/// exactly one of these behind it.
+/// land, and the epoch pin. Single submissions are one-query batches, so
+/// every query has exactly one of these behind it.
 struct BatchShared {
   std::mutex mu;
   std::condition_variable cv;
   size_t remaining = 0;  // queries not yet completed (guarded by mu)
   BatchStats stats;      // folded under mu; final once remaining hits 0
-  BatchCallback on_complete;  // moved out and invoked by the last finisher
   std::chrono::steady_clock::time_point t0;  // submission time
   uint64_t start_us = 0;  // t0 on the shared span clock (obs::SteadyNowUs)
   /// Live mode: pins the acquired epoch (and every storage layer it reads)
@@ -235,6 +242,7 @@ namespace {
 /// sink as one chunk (cache hits, single-flight waiters):
 /// streaming consumers still receive every tuple, just without incremental
 /// boundaries — the answer existed in full before this request saw it.
+/// A refused chunk needs no cancel: no evaluation is left to stop.
 void ReplayToSink(AsyncQueryState& q) {
   if (q.request.sink == nullptr || q.response.tuples.empty()) return;
   q.response.trace.chunks = 1;
@@ -290,14 +298,6 @@ QueryFuture::QueryFuture(std::shared_ptr<AsyncQueryState> state)
 QueryFuture::QueryFuture(QueryFuture&& other) noexcept
     : state_(std::move(other.state_)) {}
 
-QueryFuture& QueryFuture::operator=(QueryFuture&& other) noexcept {
-  if (this != &other) {
-    if (state_ != nullptr) state_->token.Cancel();
-    state_ = std::move(other.state_);
-  }
-  return *this;
-}
-
 QueryFuture::~QueryFuture() {
   // An abandoned result is demand nobody wants: dropping the future
   // cancels the query so the engine stops paying for it. The worker still
@@ -317,15 +317,6 @@ void QueryFuture::Wait() const {
   std::unique_lock<std::mutex> lock(state_->batch->mu);
   state_->awaited = true;
   state_->batch->cv.wait(lock, [&] { return state_->done; });
-}
-
-bool QueryFuture::WaitFor(double ms) const {
-  if (state_ == nullptr) return false;
-  std::unique_lock<std::mutex> lock(state_->batch->mu);
-  state_->awaited = true;
-  return state_->batch->cv.wait_for(
-      lock, std::chrono::duration<double, std::milli>(ms),
-      [&] { return state_->done; });
 }
 
 void QueryFuture::Cancel() {
@@ -732,7 +723,7 @@ void QueryService::RunOne(size_t worker_id, AsyncQueryState& q) {
   // chunks to the sink at those same points.
   EvalOptions options = q.request.options.ToEvalOptions();
   options.cancel = &q.token;
-  CountingSink counting(q.request.sink);
+  CountingSink counting(q.request.sink, &q.token);
   if (q.request.sink != nullptr) options.sink = &counting;
   auto r = w.engine.Query(lit, options);
   resp.trace.chunks = counting.chunks;
@@ -963,9 +954,6 @@ void QueryService::Dispatch(
 
 void QueryService::CompleteQuery(AsyncQueryState& q) {
   BatchShared& b = *q.batch;
-  BatchCallback callback;
-  BatchStats aggregates;
-  bool last = false;
   bool notify = false;
   /// Copy of the closed span for the slow-query log, taken under the lock
   /// (once a waiter is notified it may move the response out) but written
@@ -1054,22 +1042,16 @@ void QueryService::CompleteQuery(AsyncQueryState& q) {
       s.total.hit_iteration_cap |= r.stats.hit_iteration_cap;
       s.total.answers_per_iteration.Add(r.stats.answers_per_iteration);
     }
-    if (--b.remaining == 0) {
-      last = true;
-      s.wall_ms = MsSince(b.t0);
-      callback = std::move(b.on_complete);
-      aggregates = s;
-    }
+    const bool last = --b.remaining == 0;
+    if (last) s.wall_ms = MsSince(b.t0);
     // Read `awaited` under the lock that waiting futures write it under.
     // A query nobody awaits leaves the wakeup to the batch's last one.
     notify = last || q.awaited;
   }
   if (notify) b.cv.notify_all();
   // Outside the lock: the sink applies its own threshold/sampling and
-  // appends one JSONL line; the callback may wait on other futures or
-  // submit follow-up work (but must not block on this service's queue).
+  // appends one JSONL line.
   if (log_slow) b.obs->slow_log.MaybeRecord(slow_copy);
-  if (last && callback) callback(aggregates);
 }
 
 std::shared_ptr<BatchShared> QueryService::MakeBatchShared(size_t queries) {
@@ -1140,20 +1122,10 @@ std::vector<std::shared_ptr<AsyncQueryState>> QueryService::Admit(
 }
 
 BatchHandle QueryService::SubmitShared(std::vector<QueryRequest> batch,
-                                       BatchCallback on_complete,
                                        bool may_shed) {
   BatchHandle handle;
   auto shared = MakeBatchShared(batch.size());
-  shared->on_complete = std::move(on_complete);
   handle.shared_ = shared;
-  if (batch.empty()) {
-    if (shared->on_complete) {
-      BatchCallback cb = std::move(shared->on_complete);
-      cb(shared->stats);
-    }
-    return handle;
-  }
-
   // One allocation for the whole batch, handed around as aliasing
   // shared_ptrs (a flight may park any of them as a waiter).
   const size_t n = batch.size();
@@ -1174,17 +1146,14 @@ BatchHandle QueryService::SubmitShared(std::vector<QueryRequest> batch,
 QueryFuture QueryService::Submit(QueryRequest request) {
   std::vector<QueryRequest> one;
   one.push_back(std::move(request));
-  BatchHandle handle =
-      SubmitShared(std::move(one), nullptr, /*may_shed=*/true);
+  BatchHandle handle = SubmitShared(std::move(one), /*may_shed=*/true);
   // Moving the future out disarms the handle's drop-cancellation; the
   // batch state stays alive behind the future.
   return std::move(handle.futures_[0]);
 }
 
-BatchHandle QueryService::SubmitBatch(std::vector<QueryRequest> batch,
-                                      BatchCallback on_complete) {
-  return SubmitShared(std::move(batch), std::move(on_complete),
-                      /*may_shed=*/true);
+BatchHandle QueryService::SubmitBatch(std::vector<QueryRequest> batch) {
+  return SubmitShared(std::move(batch), /*may_shed=*/true);
 }
 
 QueryResponse QueryService::Eval(const QueryRequest& request) {
@@ -1196,7 +1165,7 @@ QueryResponse QueryService::Eval(const QueryRequest& request) {
 
 std::vector<QueryResponse> QueryService::EvalBatch(
     const std::vector<QueryRequest>& batch, BatchStats* stats) {
-  return SubmitShared(batch, nullptr, /*may_shed=*/false).Take(stats);
+  return SubmitShared(batch, /*may_shed=*/false).Take(stats);
 }
 
 }  // namespace binchain

@@ -11,9 +11,9 @@
 //
 // Submission is future-based: Submit() enqueues one query and returns a
 // QueryFuture; SubmitBatch() enqueues a whole batch and returns a
-// BatchHandle with per-query futures plus an optional completion callback
-// that fires (on the worker that finishes last) with the batch aggregates.
-// The blocking Eval/EvalBatch calls are the same submission, taken at once.
+// BatchHandle with per-query futures, whose Take() reports the batch
+// aggregates. The blocking Eval/EvalBatch calls are the same submission,
+// taken at once.
 //
 // Every submission path runs one front half on the caller's thread, for
 // the whole batch before any worker sees it: the admission gate, the
@@ -33,11 +33,13 @@
 // from a shared cursor, so a batch pays no per-query queue traffic.
 //
 // Every request carries a CancelToken for its whole lifetime: a deadline
-// armed at submission, and a flag flipped by QueryFuture::Cancel() (or by
-// dropping the future unconsumed). A queued request whose token trips is
-// answered without evaluating; an in-flight one unwinds at the engine's
-// next cancellation point with kDeadlineExceeded/kCancelled and whatever
-// partial answer set the traversal had gathered (QueryResponse::partial).
+// armed at submission, and a flag flipped by QueryFuture::Cancel(), by
+// dropping the future unconsumed, or by the request's streaming sink
+// refusing a chunk (its consumer is gone). A queued request whose token
+// trips is answered without evaluating; an in-flight one unwinds at the
+// engine's next cancellation point with kDeadlineExceeded/kCancelled and
+// whatever partial answer set the traversal had gathered
+// (QueryResponse::partial).
 //
 // Construction performs every mutating step up front, on the calling
 // thread: program facts are loaded, the shared plan transforms the program
@@ -60,7 +62,6 @@
 #define BINCHAIN_SERVICE_QUERY_SERVICE_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -157,7 +158,8 @@ struct QueryRequest {
   /// this sink *while the evaluation runs* (on the worker thread), shaped
   /// per the binding pattern; QueryResponse::tuples still carries the
   /// complete sorted set at the end. Replayed answers (cache hits,
-  /// single-flight waiters) arrive as one chunk.
+  /// single-flight waiters) arrive as one chunk. A sink that refuses a
+  /// chunk cancels the request (kCancelled, partial) and gets no more.
   /// Borrowed: must stay alive until the response is observable (the
   /// future completed / the blocking call returned). Never part of the
   /// request's cache identity.
@@ -201,8 +203,8 @@ struct QueryResponse {
   /// empty, no work done) or mid-flight (see `partial`). status carries
   /// kDeadlineExceeded.
   bool timed_out = false;
-  /// The request was cancelled through its future (Cancel() or drop);
-  /// status carries kCancelled.
+  /// The request was cancelled through its future (Cancel() or drop) or
+  /// by its sink refusing a chunk; status carries kCancelled.
   bool cancelled = false;
   /// The traversal was unwound mid-flight: `tuples` is a valid but possibly
   /// incomplete prefix of the answer set (every tuple reported is a true
@@ -309,7 +311,6 @@ class QueryFuture {
  public:
   QueryFuture() = default;
   QueryFuture(QueryFuture&&) noexcept;
-  QueryFuture& operator=(QueryFuture&&) noexcept;
   QueryFuture(const QueryFuture&) = delete;
   QueryFuture& operator=(const QueryFuture&) = delete;
   /// Dropping an unconsumed future cancels the query (cooperatively: a
@@ -323,8 +324,6 @@ class QueryFuture {
   bool Ready() const;
   /// Blocks until the response is ready.
   void Wait() const;
-  /// Blocks up to `ms`; returns whether the response became ready.
-  bool WaitFor(double ms) const;
   /// Requests cooperative cancellation; the future still completes (with
   /// kCancelled, or normally if evaluation already passed its last
   /// cancellation point).
@@ -338,12 +337,6 @@ class QueryFuture {
   explicit QueryFuture(std::shared_ptr<AsyncQueryState> state);
   std::shared_ptr<AsyncQueryState> state_;
 };
-
-/// Invoked exactly once per SubmitBatch, by the worker completing the
-/// batch's last query (or inline when every query was shed/failed at
-/// submission). Runs on a worker thread: keep it cheap and do not call
-/// back into blocking service methods from it.
-using BatchCallback = std::function<void(const BatchStats&)>;
 
 /// Handle to a submitted batch: per-query futures plus batch-level wait /
 /// take / cancel. Move-only; dropping the handle cancels every query whose
@@ -469,10 +462,8 @@ class QueryService {
 
   /// Async batch submission: every request is enqueued (admission applies
   /// per query — shed queries complete immediately with kOverloaded while
-  /// the rest proceed), all against one epoch acquired now. `on_complete`,
-  /// if given, fires once with the aggregates when the last query lands.
-  BatchHandle SubmitBatch(std::vector<QueryRequest> batch,
-                          BatchCallback on_complete = nullptr);
+  /// the rest proceed), all against one epoch acquired now.
+  BatchHandle SubmitBatch(std::vector<QueryRequest> batch);
 
   /// Evaluates one query, blocking until the response; never shed.
   QueryResponse Eval(const QueryRequest& request);
@@ -525,8 +516,7 @@ class QueryService {
 
   /// Every submission: wraps `batch` into future states under one
   /// BatchHandle, runs the front half, and dispatches its leaders.
-  BatchHandle SubmitShared(std::vector<QueryRequest> batch,
-                           BatchCallback on_complete, bool may_shed);
+  BatchHandle SubmitShared(std::vector<QueryRequest> batch, bool may_shed);
 
   /// Join's verdict on an admitted cache miss.
   enum class JoinOutcome { kEvaluate, kWaiter, kShed };
@@ -554,8 +544,7 @@ class QueryService {
   /// Evaluates one claimed query on worker `worker_id`'s context, writing
   /// the response into its state.
   void RunOne(size_t worker_id, AsyncQueryState& q);
-  /// Marks `q` done, folds it into the batch aggregates, and fires the
-  /// completion callback if it was the batch's last query.
+  /// Marks `q` done and folds it into the batch aggregates.
   static void CompleteQuery(AsyncQueryState& q);
 
   /// Canonical exact-match key of a request against the prepared program:

@@ -132,19 +132,6 @@ void Database::Freeze() {
   frozen_ = true;
 }
 
-void Database::Thaw() {
-  // Artifacts describe the frozen contents; stale ones must not survive a
-  // mutation window.
-  artifact_.reset();
-  // Borrowed layers belong to older epochs that may still be serving —
-  // that goes for a re-shared symbol table exactly as for relations.
-  if (!symbols_borrowed_) symbols_->Thaw();
-  for (auto& [name, rel] : relations_) {
-    if (borrowed_.count(name) == 0) rel->Thaw();
-  }
-  frozen_ = false;
-}
-
 void Database::PruneEmptyDeltas() {
   BINCHAIN_CHECK(!frozen_);
   for (auto& [name, rel] : relations_) {
@@ -167,7 +154,6 @@ void Database::PruneEmptyDeltas() {
   }
   if (symbols_->local_size() == 0 && symbols_->base() != nullptr) {
     symbols_ = std::const_pointer_cast<SymbolTable>(symbols_->base());
-    symbols_borrowed_ = true;
   }
 }
 

@@ -87,15 +87,6 @@ class Database {
     return artifact_;
   }
 
-  /// Re-opens a frozen database for mutation: thaws the symbol table and
-  /// every relation layer owned by this epoch, so facts can be inserted and
-  /// a later Freeze() completes only the incremental index work. Requires
-  /// exclusive ownership — no concurrent reader, no live epoch sharing
-  /// these layers (relations inherited via BeginDelta and not yet written
-  /// stay frozen). The concurrent-serving path never thaws; it publishes
-  /// successor epochs with BeginDelta instead.
-  void Thaw();
-
   /// Drops delta layers that received no rows (and a symbol layer that
   /// interned nothing), re-sharing the base storage directly so no-op
   /// publishes do not deepen chains. Called by the epoch publisher before
@@ -169,13 +160,9 @@ class Database {
   std::unordered_map<SymbolId, Relation*> by_id_;
   std::vector<std::string> names_;
   /// Relations inherited from the base epoch and not yet copied-on-write.
-  /// Frozen; must not be mutated or thawed through this database.
+  /// Frozen; must not be mutated through this database.
   std::unordered_set<std::string> borrowed_;
-  /// Set when PruneEmptyDeltas re-shared the base epoch's symbol table;
-  /// Thaw() must then leave it frozen (older epochs still read it).
-  bool symbols_borrowed_ = false;
-  /// Epoch-attached derived state (see AttachArtifact); dropped by Thaw()
-  /// because artifacts describe the frozen contents only.
+  /// Epoch-attached derived state (see AttachArtifact).
   std::shared_ptr<const SnapshotArtifact> artifact_;
   uint64_t epoch_ = 0;
   bool frozen_ = false;

@@ -43,12 +43,9 @@
 // small arities), after which the read path — ForEachMatch, Contains,
 // tuples() — touches no shared mutable state: lazy catch-up is disabled and
 // fetch accounting moves to a thread-local counter, so any number of
-// threads may probe a frozen relation concurrently. Thaw() re-opens a
-// frozen relation for inserts (single-writer again); a later Freeze()
-// completes only the index work for the appended rows (`indexed_upto`
-// catch-up), not a rebuild. Thaw requires that no concurrent reader is
-// still probing the relation — epochs that need old readers to survive use
-// Extend() instead.
+// threads may probe a frozen relation concurrently. Freeze is one-way:
+// new rows go into a delta layer over the frozen relation (Extend()),
+// whose own Freeze() indexes only those rows.
 #ifndef BINCHAIN_STORAGE_RELATION_H_
 #define BINCHAIN_STORAGE_RELATION_H_
 
@@ -292,16 +289,11 @@ class Relation {
   /// every nonempty bound-column mask is pre-built so no query can demand a
   /// missing index later (wider relations fall back to a read-only filtered
   /// scan for masks never probed before the freeze — counted in
-  /// ThreadWideScanCount). After Thaw()+Insert, a second Freeze() only
-  /// indexes the appended rows (indexed_upto catch-up), never rebuilds.
+  /// ThreadWideScanCount). Indexes built by probes before the freeze only
+  /// absorb the rows appended since (indexed_upto catch-up), never
+  /// rebuild.
   void Freeze();
   bool frozen() const { return frozen_; }
-
-  /// Re-opens a frozen relation for inserts. Only this layer is thawed;
-  /// base layers (if any) stay frozen and are never written. The caller
-  /// must guarantee no concurrent reader still probes this relation —
-  /// intended for exclusively-owned databases between serving windows.
-  void Thaw() { frozen_ = false; }
 
   /// Enumerates rows matching `key` on the columns of `mask` (bit i set =>
   /// column i must equal key[i]; other key positions are ignored), base

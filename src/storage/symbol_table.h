@@ -34,8 +34,8 @@ using SymbolId = uint32_t;
 ///
 /// Thread safety: not synchronized. After Freeze() the table is immutable —
 /// Intern of an existing spelling degenerates to a lookup and is safe from
-/// concurrent readers; interning a *new* spelling aborts. Thaw() re-opens
-/// the local layer for interning (single-writer, no concurrent readers).
+/// concurrent readers; interning a *new* spelling aborts. Freeze is
+/// one-way: later spellings intern into a delta layer (ChainTo).
 class SymbolTable {
  public:
   SymbolTable() = default;
@@ -44,13 +44,9 @@ class SymbolTable {
   /// fresh in the local layer). Aborts on a fresh spelling after Freeze().
   SymbolId Intern(std::string_view s);
 
-  /// Forbids further interning. Reversible via Thaw(); part of
-  /// Database::Freeze().
+  /// Forbids further interning, for good; part of Database::Freeze().
   void Freeze() { frozen_ = true; }
   bool frozen() const { return frozen_; }
-  /// Re-opens the local layer for interning. The caller must guarantee no
-  /// concurrent reader still uses the table.
-  void Thaw() { frozen_ = false; }
 
   /// Turns this (empty, unfrozen) table into a delta layer over `base`.
   /// `base` must be frozen; its ids keep resolving unchanged.

@@ -3,9 +3,10 @@
 // replay), and the HTTP server end to end — chunked-vs-buffered payload
 // identity, keep-alive reuse, mid-stream deadline trailers, 429/503 with
 // Retry-After, the defensive request-parsing paths, which bytes share a
-// send (the response writer's flushes), a client reset mid-stream, and
-// JSON escapes in both directions. Runs under TSan in CI (handlers,
-// workers, and the accept loop all touch the stream state).
+// send (the response writer's flushes and non-blocking sends), a client
+// reset mid-stream, a reader too slow to hold the worker, collapsed
+// waiters, and JSON escapes in both directions. Runs under TSan in CI
+// (workers write the responses that handlers then finish).
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <stdlib.h>
@@ -15,6 +16,7 @@
 #include <arpa/inet.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
@@ -116,11 +118,12 @@ Program SgProgram(Database& db) {
 /// Records every chunk: tuples in arrival order, per-chunk sizes.
 class RecordingSink : public AnswerSink {
  public:
-  void OnAnswers(const Tuple* tuples, size_t count,
+  bool OnAnswers(const Tuple* tuples, size_t count,
                  const SymbolTable& symbols) override {
     (void)symbols;
     chunk_sizes_.push_back(count);
     for (size_t i = 0; i < count; ++i) tuples_.push_back(tuples[i]);
+    return true;
   }
   const std::vector<Tuple>& tuples() const { return tuples_; }
   const std::vector<size_t>& chunk_sizes() const { return chunk_sizes_; }
@@ -977,6 +980,91 @@ TEST(ResponseWriterTest, EachFlushIsOneSendOfTheSameFraming) {
   close(fds[0]);
 }
 
+/// Reads `fd` until the peer closes it.
+std::string ReadToEof(int fd) {
+  std::string got;
+  std::vector<char> buf(1 << 16);
+  for (;;) {
+    ssize_t n = recv(fd, buf.data(), buf.size(), 0);
+    if (n <= 0) return got;
+    got.append(buf.data(), static_cast<size_t>(n));
+  }
+}
+
+/// Reads whatever is waiting on `fd`, without blocking.
+std::string ReadWaiting(int fd) {
+  std::string got;
+  std::vector<char> buf(1 << 16);
+  for (;;) {
+    ssize_t n = recv(fd, buf.data(), buf.size(), MSG_DONTWAIT);
+    if (n <= 0) return got;
+    got.append(buf.data(), static_cast<size_t>(n));
+  }
+}
+
+// TrySend never blocks: with nobody reading, it sends what the kernel takes
+// and keeps the rest, and a later Flush sends that rest ahead of what was
+// appended since. The reader gets exactly the bytes of one Flush of the
+// same writes.
+TEST(ResponseWriterTest, TrySendKeepsWhatTheSocketRefusesForTheNextFlush) {
+  std::vector<std::string> lines;
+  for (int i = 0; i < 64; ++i) {
+    lines.push_back("{\"tuples\": [[\"a" + std::to_string(i) + "\", \"" +
+                    std::string(4000, 'b') + "\"]]}\n");
+  }
+  const std::string trailer = "{\"trailer\": {}}\n";
+  auto write_all = [&](server::ResponseWriter* w) {
+    w->Head(200, "application/x-ndjson", /*chunked=*/true, 0);
+    for (const std::string& line : lines) w->Chunk(line);
+    w->Chunk(trailer);
+    w->LastChunk();
+  };
+
+  std::string once;
+  {
+    int fds[2];
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    server::ResponseWriter writer(fds[0], /*keep_alive=*/true);
+    std::thread reader([&] { once = ReadToEof(fds[1]); });
+    write_all(&writer);
+    EXPECT_TRUE(writer.Flush());
+    close(fds[0]);
+    reader.join();
+    close(fds[1]);
+  }
+  ASSERT_GT(once.size(), 64u * 4000u);
+
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  int small = 4096;
+  setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+  server::ResponseWriter writer(fds[0], /*keep_alive=*/true);
+  writer.Head(200, "application/x-ndjson", /*chunked=*/true, 0);
+  for (const std::string& line : lines) {
+    writer.Chunk(line);
+    ASSERT_TRUE(writer.TrySend());  // a full socket is not a gone client
+  }
+  std::string early = ReadWaiting(fds[1]);
+  EXPECT_FALSE(early.empty());
+  EXPECT_LT(early.size(), once.size()) << "the idle reader took everything";
+  EXPECT_EQ(once.compare(0, early.size(), early), 0);
+
+  writer.Chunk(trailer);
+  writer.LastChunk();
+  std::string rest;
+  std::thread reader([&] { rest = ReadToEof(fds[1]); });
+  EXPECT_TRUE(writer.Flush());
+  shutdown(fds[0], SHUT_WR);
+  reader.join();
+  EXPECT_EQ(early + rest, once);
+
+  // Once the peer is gone, a TrySend reports it.
+  close(fds[1]);
+  writer.Write("late");
+  EXPECT_FALSE(writer.TrySend());
+  close(fds[0]);
+}
+
 /// Whether `bytes` is a run of whole chunk frames (size line, payload,
 /// CRLF); *payloads receives each frame's payload.
 bool WholeChunkFrames(std::string bytes, std::vector<std::string>* payloads) {
@@ -1034,10 +1122,9 @@ std::string FirstReadOfSecondResponse(uint16_t port, const std::string& json,
   return first;
 }
 
-// The data plane flushes a streamed response after its first event (the
-// head with every answer line ready by then), after each later drain, and
-// at the end (trailer and terminator). A buffered, empty-answer or error
-// response is one flush.
+// A streamed response's head leaves with its first answer chunk, each
+// later chunk is its own send, and the trailer leaves with the terminator.
+// A buffered, empty-answer or error response is one send.
 TEST(DataServerTest, FirstReadHoldsTheHeadWithTheFirstAnswerLine) {
   DataFixture fx(1024);
   uint16_t port = fx.server->port();
@@ -1081,8 +1168,8 @@ TEST(DataServerTest, FirstReadHoldsTheHeadWithTheFirstAnswerLine) {
   }
 }
 
-// A client that resets the connection mid-stream fails the handler's next
-// flush: the query is cancelled where it stands, the request counts as
+// A client that resets the connection mid-stream fails the worker's next
+// send: the query is cancelled where it stands, the request counts as
 // one error, and the one handler thread and the one worker are free for
 // the next client.
 TEST(DataServerTest, ClientResetMidStreamCancelsTheQueryAndFreesTheWorker) {
@@ -1296,6 +1383,127 @@ TEST(DataServerTest, EscapedConstantsAndEveryBodyFieldMatchInProcessEval) {
   std::string again = "{\"pred\": \"sg\", \"source\": \"a1\", \"client_id\": ";
   EXPECT_EQ(PostQuery(srv.port(), again + "\"c1\"}", "c8").status, 429);
   EXPECT_EQ(PostQuery(srv.port(), again + "\"c8\"}", "c1").status, 200);
+}
+
+/// Connects with a receive buffer of `rcvbuf` bytes, set before the
+/// handshake so the advertised window follows it.
+int ConnectWithReceiveBuffer(uint16_t port, int rcvbuf) {
+  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// The answer lines of an NDJSON body (everything before the trailer).
+std::string AnswerLines(const std::string& body) {
+  std::string answers, trailer;
+  return SplitTrailer(body, &answers, &trailer) ? answers : "";
+}
+
+// A client that reads nothing does not hold the worker: the query
+// completes (its span lands in the flight recorder) while the response
+// waits in the socket and the writer, and the handler's final flush then
+// delivers every byte. Loopback autotunes the server's send buffer past
+// this whole response, so the send's non-blocking mode itself is checked
+// by ResponseWriterTest.TrySendKeepsWhatTheSocketRefusesForTheNextFlush.
+TEST(DataServerTest, SlowReaderLeavesTheWorkerFree) {
+  DataFixture fx(256, {}, /*cache_bytes=*/0, /*workers=*/1);
+  uint16_t port = fx.server->port();
+  size_t spans_before = fx.service->flight_recorder().Snapshot().size();
+
+  int fd = ConnectWithReceiveBuffer(port, 4096);
+  ASSERT_GE(fd, 0);
+  timeval tv{30, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::string raw = QueryRequestRaw("{\"pred\": \"sg\"}");
+  ASSERT_EQ(send(fd, raw.data(), raw.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(raw.size()));
+
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::vector<obs::QueryTrace> spans;
+  while ((spans = fx.service->flight_recorder().Snapshot()).size() ==
+             spans_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(spans.size(), spans_before + 1) << "the query never completed";
+  EXPECT_EQ(spans.back().answers, 32896u);
+  EXPECT_GT(spans.back().chunks, 1u);
+
+  std::string carry;
+  HttpResult streamed;
+  ASSERT_TRUE(ReadResponse(fd, &carry, &streamed));
+  close(fd);
+  ASSERT_EQ(streamed.status, 200);
+  ASSERT_TRUE(streamed.chunked);
+  EXPECT_NE(streamed.chunks.back().find("\"status\": \"ok\""),
+            std::string::npos);
+
+  HttpResult buffered =
+      PostQuery(port, "{\"pred\": \"sg\", \"stream\": false}");
+  ASSERT_EQ(buffered.status, 200);
+  EXPECT_FALSE(AnswerLines(streamed.body).empty());
+  EXPECT_EQ(AnswerLines(streamed.body), AnswerLines(buffered.body));
+}
+
+// Identical concurrent requests collapse onto one evaluation, and the
+// leader's worker writes every waiter's socket (their replayed chunk).
+// Each client gets the whole answer set on its own connection.
+TEST(DataServerTest, CollapsedWaitersAreAnsweredOnTheirOwnSockets) {
+  DataServerOptions opts;
+  opts.handler_threads = 4;
+  DataFixture fx(1024, opts, /*cache_bytes=*/0, /*workers=*/1);
+  uint16_t port = fx.server->port();
+  const std::string json =
+      "{\"pred\": \"sg\", \"source\": \"" + fx.source + "\"}";
+  QueryResponse expected =
+      fx.service->Eval(QueryRequest().set_pred("sg").set_source(fx.source));
+  ASSERT_TRUE(expected.status.ok());
+  NamePairs want;
+  for (const Tuple& t : expected.tuples) {
+    want.emplace_back(fx.db.symbols().Name(t[0]), fx.db.symbols().Name(t[1]));
+  }
+  std::sort(want.begin(), want.end());
+
+  // sg(a1, Y) runs for hundreds of milliseconds, so clients that send at
+  // once join the first one's flight. A round in which the scheduler
+  // still serialized them is run again.
+  auto collapsed = [&] {
+    std::vector<obs::QueryTrace> spans =
+        fx.service->flight_recorder().Snapshot();
+    return std::count_if(spans.begin(), spans.end(),
+                         [](const obs::QueryTrace& t) { return t.collapsed; });
+  };
+  for (int round = 0; round < 5 && collapsed() == 0; ++round) {
+    constexpr int kClients = 4;
+    std::vector<HttpResult> results(kClients);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> clients;
+    for (int i = 0; i < kClients; ++i) {
+      clients.emplace_back([&, i] {
+        ++ready;
+        while (ready.load() < kClients) std::this_thread::yield();
+        results[i] = PostQuery(port, json);
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    for (const HttpResult& r : results) {
+      ASSERT_EQ(r.status, 200) << r.body;
+      EXPECT_NE(r.body.find("\"status\": \"ok\""), std::string::npos);
+      NamePairs got;
+      ASSERT_TRUE(DecodeAnswers(r.body, &got)) << r.body;
+      EXPECT_EQ(got, want);
+    }
+  }
+  EXPECT_GE(collapsed(), 1);
 }
 
 }  // namespace

@@ -285,46 +285,6 @@ TEST(LiveTest, ConcurrentPublishAndQueries) {
   EXPECT_GE(batches, 1u);
 }
 
-// The exclusive-ownership story: freeze -> thaw -> insert -> re-freeze on
-// one database, no snapshot chain. The second freeze only has delta index
-// work to do (indexed_upto catch-up), and results match a cold rebuild.
-TEST(LiveTest, ThawInsertRefreezeMatchesColdRebuild) {
-  Database db;
-  workloads::Fig7b(db, 10);
-  QueryEngine engine(&db);
-  ASSERT_TRUE(engine.LoadProgramText(workloads::SgProgramText()).ok());
-  db.Freeze();
-  EXPECT_TRUE(db.frozen());
-  auto before = engine.Query("sg(a1, Y)");
-  ASSERT_TRUE(before.ok());
-
-  db.Thaw();
-  EXPECT_FALSE(db.frozen());
-  // Extend the up/down chains by one level and rewire flat to the new top.
-  db.AddFact("up", {"a10", "a11"});
-  db.AddFact("down", {"b11", "b10"});
-  db.AddFact("flat", {"a11", "b11"});
-  db.Freeze();
-  EXPECT_TRUE(db.frozen());
-
-  auto after = engine.Query("sg(a1, Y)");
-  ASSERT_TRUE(after.ok());
-  // The new top level is visible: a11 answers through flat(a11, b11).
-  auto novel = engine.Query("sg(a11, Y)");
-  ASSERT_TRUE(novel.ok());
-  EXPECT_FALSE(novel.value().tuples.empty());
-
-  std::vector<Fact> all = ExtractFacts(db);
-  QueryRequest req_a1, req_a11;
-  req_a1.pred = req_a11.pred = "sg";
-  req_a1.source = "a1";
-  req_a11.source = "a11";
-  auto expected =
-      ColdAnswers(all, all, workloads::SgProgramText(), {req_a1, req_a11});
-  EXPECT_EQ(Render(after.value().tuples, db.symbols()), expected[0]);
-  EXPECT_EQ(Render(novel.value().tuples, db.symbols()), expected[1]);
-}
-
 // Copy-on-write at relation granularity: a publish that touches one
 // relation shares every other relation object with the previous epoch and
 // layers only the touched one.

@@ -3,18 +3,17 @@
 // repeated queries, freeze behavior of the storage snapshot, a stress run
 // with overlapping sources on the Figure-8 cyclic workload, the async
 // submission surface — futures, mid-flight deadline/cancellation unwinds,
-// queue-depth admission, and batch completion callbacks — the
-// single-flight rules that collapse identical requests, and a seeded
-// stress run that mixes every submission path at once.
+// queue-depth admission, batch aggregates, and a streaming sink that
+// refuses a chunk — the single-flight rules that collapse identical
+// requests, and a seeded stress run that mixes every submission path at
+// once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -22,6 +21,7 @@
 
 #include "cache/answer_cache.h"
 #include "datalog/parser.h"
+#include "eval/answer_sink.h"
 #include "service/query_service.h"
 #include "service/thread_pool.h"
 #include "util/rng.h"
@@ -513,7 +513,7 @@ TEST(AsyncServiceTest, QueueOverloadShedsWithKOverloaded) {
   queued2.Wait();
 }
 
-TEST(AsyncServiceTest, BatchAdmissionShedsOverflowAndReportsCallback) {
+TEST(AsyncServiceTest, BatchAdmissionShedsOverflowAndReportsAggregates) {
   LongQueryRig rig;
   QueryService service(&rig.db, rig.program, {1, 2});
   ASSERT_TRUE(service.status().ok());
@@ -522,10 +522,6 @@ TEST(AsyncServiceTest, BatchAdmissionShedsOverflowAndReportsCallback) {
   QueryFuture running = service.Submit(rig.Request());
   while (service.pending() != 0) std::this_thread::yield();
 
-  std::mutex mu;
-  std::condition_variable cv;
-  bool fired = false;
-  BatchStats from_callback;
   // Distinct iteration caps (all far beyond what the query needs) give the
   // five requests distinct keys: identical requests would be collapsed by
   // single-flight into a single evaluation, and this test is about the
@@ -534,13 +530,7 @@ TEST(AsyncServiceTest, BatchAdmissionShedsOverflowAndReportsCallback) {
   for (size_t i = 0; i < batch.size(); ++i) {
     batch[i].options.max_iterations = 1 << (20 + i);
   }
-  BatchHandle handle =
-      service.SubmitBatch(batch, [&](const BatchStats& stats) {
-        std::lock_guard<std::mutex> lock(mu);
-        fired = true;
-        from_callback = stats;
-        cv.notify_all();
-      });
+  BatchHandle handle = service.SubmitBatch(batch);
   ASSERT_EQ(handle.size(), 5u);
   // Queue depth 2: exactly two of the five were admitted, three shed.
   handle.Cancel();   // the two admitted ones unwind as kCancelled
@@ -559,16 +549,43 @@ TEST(AsyncServiceTest, BatchAdmissionShedsOverflowAndReportsCallback) {
   }
   EXPECT_EQ(overloaded, 3u);
   EXPECT_EQ(cancelled, 2u);
-
-  // The completion callback fired exactly once with the same aggregates.
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return fired; });
-    EXPECT_EQ(from_callback.queries, 5u);
-    EXPECT_EQ(from_callback.overloaded, 3u);
-    EXPECT_EQ(from_callback.cancelled, 2u);
-  }
   running.Wait();
+}
+
+/// Refuses every chunk, as the data plane's sink does once its client is
+/// gone.
+class RefusingSink : public AnswerSink {
+ public:
+  bool OnAnswers(const Tuple*, size_t, const SymbolTable&) override {
+    ++calls;
+    return false;
+  }
+  int calls = 0;
+};
+
+// A sink that refuses its first chunk cancels the request: the engine
+// unwinds at its next cancellation point with a partial answer set, the
+// sink hears nothing more, and the one worker is free for the next query.
+TEST(AsyncServiceTest, RefusedChunkCancelsTheQueryAndFreesTheWorker) {
+  LongQueryRig rig;
+  QueryService service(&rig.db, rig.program, DepthOptions(1, 64));
+  ASSERT_TRUE(service.status().ok());
+  QueryResponse full = service.Eval(rig.Request());
+  ASSERT_TRUE(full.status.ok());
+
+  RefusingSink sink;
+  QueryResponse cut = service.Eval(rig.Request().set_sink(&sink));
+  EXPECT_EQ(cut.status.code(), StatusCode::kCancelled);
+  EXPECT_TRUE(cut.cancelled);
+  EXPECT_FALSE(cut.timed_out);
+  EXPECT_TRUE(cut.partial);
+  EXPECT_EQ(cut.trace.chunks, 1u);
+  EXPECT_EQ(sink.calls, 1);
+  EXPECT_LT(cut.tuples.size(), full.tuples.size());
+
+  QueryResponse next = service.Eval(LadderTop(1024));
+  ASSERT_TRUE(next.status.ok());
+  EXPECT_EQ(next.tuples.size(), 1u);
 }
 
 TEST(AsyncServiceTest, DeadlineBudgetIncludesQueueTime) {
